@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pard_engine_api::EdgeState;
-use pard_gateway::{edge_decision, EdgeSnapshot};
+use pard_gateway::{AdmissionFloor, EdgeSnapshot};
 use pard_sim::{SimDuration, SimTime};
 use std::hint::black_box;
 
@@ -41,13 +41,8 @@ fn bench_admission(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
     group.bench_function("full", |b| {
         b.iter(|| {
-            edge_decision(
-                black_box(now),
-                black_box(deadline),
-                black_box(&state),
-                0,
-                black_box(&paths),
-            )
+            AdmissionFloor::compute(black_box(&state), 0, black_box(&paths))
+                .decide(black_box(now), black_box(deadline))
         })
     });
     group.bench_function("snapshot", |b| {

@@ -23,6 +23,13 @@
 //! request). Admission therefore never rejects a servable request; the
 //! in-worker broker, with its richer Monte-Carlo wait estimate, still
 //! re-checks every admitted request at `t_b`.
+//!
+//! [`EdgeAdmitter`] owns the whole per-app sequence around that
+//! decision — clock, rate limit, SLO, snapshot, adaptive fold, edge
+//! ids, submit, flight record — and is the only caller of
+//! [`EdgeSnapshot::decide_traced`]: the gateway's shard loop, its
+//! replay coordinator, its refresh poller and the harness's socketless
+//! runner all go through it, so they cannot disagree.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,47 +39,29 @@ use parking_lot::Mutex;
 use pard_core::{
     critical_path_estimate, proactive_decision, Decision, DecisionInputs, ReqMeta, SubEstimate,
 };
-use pard_engine_api::EdgeState;
-use pard_sim::{SimDuration, SimTime};
+use pard_engine_api::{EdgeState, EngineHandle, SubmitSpec};
+use pard_metrics::DropReason;
+use pard_obs::{FlightRecorder, ObsEvent, ObsKind};
+use pard_sim::{SimDuration, SimTime, TokenBucket};
 
-/// Builds the downstream estimate (`L_sub` of §4.2) for a request
-/// entering the pipeline's source module, from edge-visible state:
-/// queued-batch delay (batches drain one per worker in parallel) plus
-/// execution, summed along each downstream path and maximised over
-/// `paths` (the critical path), zero batch wait.
-pub fn edge_sub_estimate(state: &EdgeState, paths: &[Vec<usize>]) -> SubEstimate {
-    critical_path_estimate(
-        paths,
-        &state.queue_depths,
-        &state.workers,
-        &state.batch_sizes,
-        &state.exec_ms,
-    )
-}
+use crate::adaptive::{AdaptiveConfig, AdaptiveState};
 
-/// The edge admission check: Eq. 3 for a request arriving `now` with
-/// `deadline`, against the current [`EdgeState`]. `source` is the
-/// pipeline's entry module and `paths` its downstream paths from there
-/// (both static; the gateway computes them once at startup).
-pub fn edge_decision(
-    now: SimTime,
-    deadline: SimTime,
-    state: &EdgeState,
-    source: usize,
-    paths: &[Vec<usize>],
-) -> Decision {
-    AdmissionFloor::compute(state, source, paths).decide(now, deadline)
-}
+/// Ids for edge-rejected requests live in their own space so they can
+/// never collide with engine-assigned ids (record indices, which a
+/// process cannot push anywhere near 2^52). The base is kept within
+/// f64's exact-integer range because wire ids travel as JSON numbers:
+/// 2^52 + seq round-trips exactly for any realistic seq, where 2^63
+/// would silently lose its low bits.
+pub const EDGE_ID_BASE: u64 = 1 << 52;
 
 /// The state-dependent half of the edge decision, precomputed once per
 /// [`EdgeState`] snapshot: the entry module's queued-batch delay
 /// ([`DecisionInputs::edge_lead`]), its execution duration, and the
-/// critical-downstream-path estimate. [`AdmissionFloor::decide`] is
-/// then pure arithmetic on three `Copy` durations — no locks, no
-/// allocation, no per-request walk over the pipeline — and produces
-/// bit-identical decisions to [`edge_decision`] *by construction*:
-/// both run [`pard_core::proactive_decision`] over
-/// [`DecisionInputs::at_edge_with_lead`].
+/// critical-downstream-path estimate (`L_sub` of §4.2: queued-batch
+/// delay plus execution, summed along each downstream path and
+/// maximised over `paths`, zero batch wait). [`AdmissionFloor::decide`]
+/// is then pure arithmetic on three `Copy` durations — no locks, no
+/// allocation, no per-request walk over the pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct AdmissionFloor {
     /// Queued-batch delay ahead of an arriving request at the source.
@@ -84,7 +73,9 @@ pub struct AdmissionFloor {
 }
 
 impl AdmissionFloor {
-    /// Precomputes the floor from an edge-state snapshot.
+    /// Precomputes the floor from an edge-state snapshot. `source` is
+    /// the pipeline's entry module and `paths` its downstream paths
+    /// from there (both static, computed once per engine).
     pub fn compute(state: &EdgeState, source: usize, paths: &[Vec<usize>]) -> AdmissionFloor {
         let exec = SimDuration::from_millis_f64(state.exec_ms[source]);
         AdmissionFloor {
@@ -95,12 +86,17 @@ impl AdmissionFloor {
                 exec,
             ),
             exec,
-            sub: edge_sub_estimate(state, paths),
+            sub: critical_path_estimate(
+                paths,
+                &state.queue_depths,
+                &state.workers,
+                &state.batch_sizes,
+                &state.exec_ms,
+            ),
         }
     }
 
-    /// Eq. 3 for a request arriving `now` with `deadline` — the
-    /// per-request half of [`edge_decision`].
+    /// Eq. 3 for a request arriving `now` with `deadline`.
     pub fn decide(&self, now: SimTime, deadline: SimTime) -> Decision {
         let req = ReqMeta {
             id: 0,
@@ -273,6 +269,265 @@ impl SnapshotReader {
     }
 }
 
+/// One app's admission path, start to finish: everything Eq. 3 needs
+/// at the serving edge (the engine, the pipeline's static shape, the
+/// published snapshot, the optional adaptive re-planner and rate
+/// limiter, the flight recorder, the edge-id counter) and the sequence
+/// that uses it.
+///
+/// Admission is two steps so a front-end can put transport between
+/// them: [`EdgeAdmitter::decide_now`] / [`EdgeAdmitter::decide_at`]
+/// answer [`Admission`], and an admitted request's
+/// [`AdmitPermit::submit`] hands it to the engine. A permit dropped
+/// unsubmitted (the gateway's pending table was full) leaves no trace:
+/// nothing reached the engine, nothing was recorded.
+pub struct EdgeAdmitter {
+    engine: Box<dyn EngineHandle>,
+    /// The pipeline's entry module (static).
+    source: usize,
+    /// Downstream paths from the entry module to the sink (static) —
+    /// the estimate charges the critical one, so parallel DAG branches
+    /// are not double-counted.
+    paths: Vec<Vec<usize>>,
+    publisher: EdgePublisher,
+    /// Online re-planner + brownout controller; `None` keeps the floor
+    /// on the static profile. Snapshot rebuilds are serialized per app
+    /// in the common case (one poller, or the replay gate), so the
+    /// mutex is uncontended — it exists for the race between the
+    /// wall-clock poller and a scheduled rebuild, where fold order
+    /// must be serialized for determinism.
+    adaptive: Option<Mutex<AdaptiveState>>,
+    /// Per-tenant rate limiter, refilled on this engine's clock.
+    limiter: Option<Mutex<TokenBucket>>,
+    /// The engine's flight recorder ([`EngineHandle::telemetry`]);
+    /// edge decisions go into the same ring the engine writes its
+    /// lifecycle events to, so there is one time-ordered stream — the
+    /// one the adaptive fold reads back.
+    recorder: Option<Arc<FlightRecorder>>,
+    /// Edge-rejection id counter, shared by every admitter of one
+    /// front-end so edge ids stay unique across its apps.
+    edge_ids: Arc<AtomicU64>,
+}
+
+/// What the edge decided for one request.
+pub enum Admission<'a> {
+    /// The app's token bucket was empty; no snapshot was read or built.
+    RateLimited,
+    /// Eq. 3 refused the request. `id` comes from the edge-id space
+    /// ([`EDGE_ID_BASE`]); the decision is already in the flight record.
+    Rejected {
+        /// The request's edge id.
+        id: u64,
+        /// Why Eq. 3 refused it.
+        reason: DropReason,
+    },
+    /// Eq. 3 admitted the request; submit it through the permit.
+    Admitted(AdmitPermit<'a>),
+}
+
+/// An admitted request that has not reached the engine yet.
+#[must_use = "an admitted request reaches the engine only through `submit`"]
+pub struct AdmitPermit<'a> {
+    admitter: &'a EdgeAdmitter,
+    now: SimTime,
+    slo: SimDuration,
+    at: Option<SimTime>,
+    trace: EdgeTrace,
+}
+
+impl AdmitPermit<'_> {
+    /// Submits the request — a scheduled one with its arrival pinned,
+    /// which keeps the replay gate there; a plain one releases it (see
+    /// [`SubmitSpec::at`]) — records the admission with its Eq. 3
+    /// inputs, and returns the engine-assigned id.
+    pub fn submit(self) -> u64 {
+        let id = self.admitter.engine.submit(SubmitSpec {
+            slo: Some(self.slo),
+            tag: 0,
+            at: self.at,
+        });
+        self.admitter.record(self.now, id, &self.trace, None);
+        id
+    }
+}
+
+impl EdgeAdmitter {
+    /// Takes ownership of `engine` and publishes an initial snapshot of
+    /// its edge state. `edge_ids` is the counter rejections draw their
+    /// ids from; admitters that share a front-end share it.
+    pub fn new(
+        engine: Box<dyn EngineHandle>,
+        adaptive: Option<AdaptiveConfig>,
+        limiter: Option<TokenBucket>,
+        edge_ids: Arc<AtomicU64>,
+    ) -> EdgeAdmitter {
+        let source = engine.spec().source();
+        let paths = pard_pipeline::graph::downstream_paths(engine.spec(), source);
+        EdgeAdmitter {
+            publisher: EdgePublisher::new(EdgeSnapshot::new(engine.edge_state(), source, &paths)),
+            adaptive: adaptive.map(|config| Mutex::new(AdaptiveState::new(config))),
+            limiter: limiter.map(Mutex::new),
+            recorder: engine.telemetry(),
+            source,
+            paths,
+            edge_ids,
+            engine,
+        }
+    }
+
+    /// The engine behind this app.
+    pub fn engine(&self) -> &dyn EngineHandle {
+        self.engine.as_ref()
+    }
+
+    /// The engine's flight recorder, if it has one.
+    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
+        self.recorder.as_ref()
+    }
+
+    /// A per-thread cache over the published snapshot, for
+    /// [`EdgeAdmitter::decide_now`].
+    pub fn reader(&self) -> SnapshotReader {
+        SnapshotReader::new(&self.publisher)
+    }
+
+    /// The published snapshot — for cold paths like `/metrics`.
+    pub fn published(&self) -> Arc<EdgeSnapshot> {
+        self.publisher.load()
+    }
+
+    /// Rebuilds the snapshot from the engine's current state and
+    /// publishes it (the refresh poller's tick).
+    pub fn refresh(&self) {
+        self.publisher.publish(self.fresh_snapshot());
+    }
+
+    /// Decides a request arriving now against the *published* snapshot:
+    /// pure reads on shared immutable data, no lock beyond the rate
+    /// limiter's (when one is configured).
+    pub fn decide_now(&self, reader: &mut SnapshotReader, slo_ms: Option<u64>) -> Admission<'_> {
+        let now = self.engine.now();
+        if !self.acquire(now) {
+            return Admission::RateLimited;
+        }
+        self.weigh(reader.current(&self.publisher), now, slo_ms, None)
+    }
+
+    /// Decides a scheduled request (deterministic replay): steers a
+    /// stepped clock to the virtual arrival `at_us`, then runs the rate
+    /// limiter and Eq. 3 against a *fresh* snapshot taken at exactly
+    /// that instant, so the decision is a pure function of the
+    /// schedule. Live engines ignore the advance and decide on receipt.
+    pub fn decide_at(&self, at_us: u64, slo_ms: Option<u64>) -> Admission<'_> {
+        let at = SimTime::from_micros(at_us);
+        self.engine.advance_to(at);
+        let now = self.engine.now();
+        if !self.acquire(now) {
+            return Admission::RateLimited;
+        }
+        self.weigh(&self.fresh_snapshot(), now, slo_ms, Some(at))
+    }
+
+    /// One token-bucket acquire on this app's clock; `true` when no
+    /// limit is configured.
+    fn acquire(&self, now: SimTime) -> bool {
+        match &self.limiter {
+            Some(limiter) => limiter.lock().try_acquire(now),
+            None => true,
+        }
+    }
+
+    /// Eq. 3 for a request arriving `now` with the SLO the request
+    /// carries (or the pipeline's default), against `snapshot`.
+    fn weigh(
+        &self,
+        snapshot: &EdgeSnapshot,
+        now: SimTime,
+        slo_ms: Option<u64>,
+        at: Option<SimTime>,
+    ) -> Admission<'_> {
+        let slo = slo_ms
+            .map(SimDuration::saturating_from_millis)
+            .unwrap_or(self.engine.spec().slo);
+        let (decision, trace) = snapshot.decide_traced(now, now.saturating_add(slo));
+        match decision {
+            Decision::Drop(reason) => {
+                let id = EDGE_ID_BASE + self.edge_ids.fetch_add(1, Ordering::Relaxed);
+                self.record(now, id, &trace, Some(reason));
+                Admission::Rejected { id, reason }
+            }
+            Decision::Admit => Admission::Admitted(AdmitPermit {
+                admitter: self,
+                now,
+                slo,
+                at,
+                trace,
+            }),
+        }
+    }
+
+    /// Builds a snapshot from the engine's current state.
+    ///
+    /// With the adaptive layer on, this is where the feedback loop
+    /// closes: drain the engine's flight-recorder stream, fold it into
+    /// the estimator, and compute the floor from *observed* per-module
+    /// latencies instead of the static profile. Every floor movement
+    /// the fold produced is stamped back into the recorder with the
+    /// resulting `L_sub`. An engine without a recorder has no stream to
+    /// fold and keeps the static floor.
+    fn fresh_snapshot(&self) -> EdgeSnapshot {
+        let mut state = self.engine.edge_state();
+        let adjustments = match (&self.adaptive, &self.recorder) {
+            (Some(adaptive), Some(recorder)) => {
+                adaptive
+                    .lock()
+                    .observe_and_adjust(recorder, &mut state, self.source)
+            }
+            _ => Vec::new(),
+        };
+        let snapshot = EdgeSnapshot::new(state, self.source, &self.paths);
+        if !adjustments.is_empty() {
+            if let Some(recorder) = &self.recorder {
+                let t_us = self.engine.now().as_micros();
+                let sub_us = snapshot.floor().sub_total().as_micros();
+                for adj in adjustments {
+                    recorder.record(&ObsEvent {
+                        t_us,
+                        req: 0,
+                        kind: ObsKind::FloorAdjust {
+                            module: adj.module,
+                            cause: adj.cause,
+                            observed_us: adj.observed_us,
+                            profiled_us: adj.profiled_us,
+                            sub_us,
+                        },
+                    });
+                }
+            }
+        }
+        snapshot
+    }
+
+    /// Records one edge decision into the engine's flight recorder:
+    /// the Eq. 3 inputs plus the verdict (`reason` is `None` for an
+    /// admission). One ring write; a no-op without a recorder.
+    #[inline]
+    fn record(&self, now: SimTime, id: u64, trace: &EdgeTrace, reason: Option<DropReason>) {
+        if let Some(recorder) = &self.recorder {
+            recorder.record(&ObsEvent {
+                t_us: now.as_micros(),
+                req: id,
+                kind: ObsKind::EdgeDecision {
+                    lead_us: trace.lead_us,
+                    sub_us: trace.sub_us,
+                    slack_us: trace.slack_us,
+                    reason,
+                },
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,7 +549,7 @@ mod tests {
     }
 
     fn decide(now: SimTime, deadline: SimTime, state: &EdgeState) -> Decision {
-        edge_decision(now, deadline, state, 0, &chain_paths())
+        AdmissionFloor::compute(state, 0, &chain_paths()).decide(now, deadline)
     }
 
     #[test]
@@ -350,7 +605,7 @@ mod tests {
         // = 400 ms of downstream queueing.
         let s = state(vec![0, 0, 80]);
         let now = SimTime::ZERO;
-        let sub = edge_sub_estimate(&s, &chain_paths());
+        let sub = AdmissionFloor::compute(&s, 0, &chain_paths()).sub;
         assert_eq!(sub.sum_q, SimDuration::from_millis(400));
         assert_eq!(sub.sum_d, SimDuration::from_millis(50));
         let d = decide(now, now + SimDuration::from_millis(300), &s);
@@ -366,10 +621,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_decisions_match_edge_decision_exactly() {
-        // The published-snapshot fast path must be bit-identical to the
-        // direct computation across queue depths, SLOs, and shapes —
-        // golden taxonomies depend on it.
+    fn snapshot_decisions_match_the_floor_exactly() {
+        // The published-snapshot fast path must be bit-identical to a
+        // floor computed directly from the same state, across queue
+        // depths, SLOs, and shapes — golden taxonomies depend on it.
         let paths = chain_paths();
         let mut cases = Vec::new();
         for q0 in [0usize, 3, 8, 40, 400] {
@@ -388,7 +643,7 @@ mod tests {
                     ] {
                         assert_eq!(
                             snapshot.decide(now, deadline),
-                            edge_decision(now, deadline, &s, 0, &paths),
+                            AdmissionFloor::compute(&s, 0, &paths).decide(now, deadline),
                             "q={:?} now={now_ms} slo={slo_ms}",
                             s.queue_depths,
                         );
@@ -465,11 +720,184 @@ mod tests {
             slo: SimDuration::from_millis(400),
         };
         let paths = vec![vec![1, 3], vec![2, 3]];
-        let sub = edge_sub_estimate(&s, &paths);
+        let floor = AdmissionFloor::compute(&s, 0, &paths);
         // One branch + sink, with that branch's one queued batch.
-        assert_eq!(sub.total, SimDuration::from_millis(220));
+        assert_eq!(floor.sub.total, SimDuration::from_millis(220));
         let now = SimTime::ZERO;
-        let d = edge_decision(now, now + SimDuration::from_millis(300), &s, 0, &paths);
+        let d = floor.decide(now, now + SimDuration::from_millis(300));
         assert_eq!(d, Decision::Admit);
+    }
+
+    #[test]
+    fn edge_ids_round_trip_exactly_through_json_numbers() {
+        // Wire ids travel as f64; every edge id must survive the trip.
+        for seq in [0u64, 1, 2, 1_000_000_007] {
+            let id = EDGE_ID_BASE + seq;
+            assert_eq!((id as f64) as u64, id, "seq {seq} lost precision");
+        }
+        // And the space stays disjoint from any feasible record index.
+        assert!(EDGE_ID_BASE > u32::MAX as u64 * 1024);
+    }
+
+    /// An idle tm-shaped engine that logs what the admitter asks of it
+    /// and assigns dense ids from 0.
+    struct StubEngine {
+        spec: pard_pipeline::PipelineSpec,
+        edge_states: Arc<AtomicU64>,
+        submits: Arc<Mutex<Vec<SubmitSpec>>>,
+        recorder: Arc<FlightRecorder>,
+    }
+
+    impl EngineHandle for StubEngine {
+        fn spec(&self) -> &pard_pipeline::PipelineSpec {
+            &self.spec
+        }
+        fn now(&self) -> SimTime {
+            SimTime::from_millis(100)
+        }
+        fn submit(&self, spec: SubmitSpec) -> u64 {
+            let mut submits = self.submits.lock();
+            submits.push(spec);
+            submits.len() as u64 - 1
+        }
+        fn edge_state(&self) -> EdgeState {
+            self.edge_states.fetch_add(1, Ordering::Relaxed);
+            state(vec![0, 0, 0])
+        }
+        fn set_completion_sink(&self, _: std::sync::mpsc::Sender<pard_engine_api::Completion>) {}
+        fn drain(&self, _: SimDuration) -> pard_metrics::RequestLog {
+            pard_metrics::RequestLog::default()
+        }
+        fn telemetry(&self) -> Option<Arc<FlightRecorder>> {
+            Some(Arc::clone(&self.recorder))
+        }
+    }
+
+    /// An admitter over a [`StubEngine`], plus the stub's two logs.
+    fn stub_admitter(
+        limiter: Option<TokenBucket>,
+        edge_ids: &Arc<AtomicU64>,
+    ) -> (EdgeAdmitter, Arc<AtomicU64>, Arc<Mutex<Vec<SubmitSpec>>>) {
+        let engine = StubEngine {
+            spec: pard_pipeline::AppKind::Tm.pipeline(),
+            edge_states: Arc::default(),
+            submits: Arc::default(),
+            recorder: Arc::new(FlightRecorder::with_capacity(64)),
+        };
+        let (edge_states, submits) = (engine.edge_states.clone(), engine.submits.clone());
+        let admitter = EdgeAdmitter::new(Box::new(engine), None, limiter, Arc::clone(edge_ids));
+        (admitter, edge_states, submits)
+    }
+
+    /// A 1 ms SLO is below the idle 90 ms floor: always rejected.
+    const HOPELESS_MS: Option<u64> = Some(1);
+
+    #[test]
+    fn rate_limited_requests_cost_no_snapshot_work() {
+        // A one-token bucket that never refills: the first scheduled
+        // request builds its fresh snapshot; the next ones are refused
+        // before the engine is asked for its edge state, before an
+        // edge id is drawn, and before anything is recorded.
+        let edge_ids = Arc::new(AtomicU64::new(0));
+        let bucket = TokenBucket::new(0.0, 1.0, SimTime::ZERO);
+        let (admitter, edge_states, _) = stub_admitter(Some(bucket), &edge_ids);
+        assert!(matches!(
+            admitter.decide_at(1_000, HOPELESS_MS),
+            Admission::Rejected { .. }
+        ));
+        // One for the initial published snapshot, one for the fresh one.
+        assert_eq!(edge_states.load(Ordering::Relaxed), 2);
+
+        assert!(matches!(
+            admitter.decide_at(2_000, HOPELESS_MS),
+            Admission::RateLimited
+        ));
+        assert!(matches!(
+            admitter.decide_now(&mut admitter.reader(), HOPELESS_MS),
+            Admission::RateLimited
+        ));
+        assert_eq!(edge_states.load(Ordering::Relaxed), 2);
+        assert_eq!(edge_ids.load(Ordering::Relaxed), 1);
+        assert_eq!(admitter.recorder().expect("stub records").emitted(), 1);
+    }
+
+    #[test]
+    fn edge_ids_are_drawn_from_the_shared_counter() {
+        // Two apps of one front-end share the counter: ids start at
+        // EDGE_ID_BASE and never repeat across them, on either entry
+        // point, and each rejection is recorded under its id.
+        let edge_ids = Arc::new(AtomicU64::new(0));
+        let (a, ..) = stub_admitter(None, &edge_ids);
+        let (b, ..) = stub_admitter(None, &edge_ids);
+        let rejected_id = |admission: Admission<'_>| match admission {
+            Admission::Rejected { id, reason } => {
+                assert_eq!(reason, DropReason::PredictedViolation);
+                id
+            }
+            _ => panic!("a 1 ms SLO is rejected"),
+        };
+        assert_eq!(rejected_id(a.decide_at(1_000, HOPELESS_MS)), EDGE_ID_BASE);
+        assert_eq!(
+            rejected_id(b.decide_now(&mut b.reader(), HOPELESS_MS)),
+            EDGE_ID_BASE + 1
+        );
+        assert_eq!(
+            rejected_id(a.decide_now(&mut a.reader(), HOPELESS_MS)),
+            EDGE_ID_BASE + 2
+        );
+        let recorded: Vec<(u64, bool)> = (a.recorder().expect("stub records").dump().iter())
+            .map(|e| {
+                let rejected = matches!(
+                    e.kind,
+                    ObsKind::EdgeDecision {
+                        reason: Some(_),
+                        ..
+                    }
+                );
+                (e.req, rejected)
+            })
+            .collect();
+        assert_eq!(
+            recorded,
+            vec![(EDGE_ID_BASE, true), (EDGE_ID_BASE + 2, true)]
+        );
+    }
+
+    #[test]
+    fn a_dropped_permit_submits_and_records_nothing() {
+        // The gateway drops the permit when its pending table is full:
+        // the engine must not see the request and the flight record
+        // must not claim it was admitted.
+        let edge_ids = Arc::new(AtomicU64::new(0));
+        let (admitter, _, submits) = stub_admitter(None, &edge_ids);
+        let recorder = Arc::clone(admitter.recorder().expect("stub records"));
+        match admitter.decide_at(5_000, None) {
+            Admission::Admitted(permit) => drop(permit),
+            _ => panic!("an idle pipeline admits its default SLO"),
+        }
+        assert!(submits.lock().is_empty());
+        assert_eq!(recorder.emitted(), 0);
+
+        // Submitted, a scheduled request reaches the engine with its
+        // arrival pinned and is recorded as an admission under the
+        // engine's id.
+        let Admission::Admitted(permit) = admitter.decide_at(5_000, Some(250)) else {
+            panic!("250 ms clears the idle 90 ms floor");
+        };
+        let id = permit.submit();
+        let pinned = SubmitSpec {
+            slo: Some(SimDuration::from_millis(250)),
+            tag: 0,
+            at: Some(SimTime::from_micros(5_000)),
+        };
+        assert_eq!(*submits.lock(), vec![pinned]);
+        let events = recorder.dump();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].req, id);
+        assert!(matches!(
+            events[0].kind,
+            ObsKind::EdgeDecision { reason: None, .. }
+        ));
+        assert_eq!(edge_ids.load(Ordering::Relaxed), 0, "no edge id spent");
     }
 }

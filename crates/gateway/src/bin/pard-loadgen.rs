@@ -27,8 +27,6 @@ fn usage() -> ! {
          \x20                   [--requests N] [--connections N] [--slo-ms MS]\n\
          \x20                   [--tight-frac F] [--scale F] [--pace wall|virtual]\n\
          \x20                   [--seed N] [--mux] [--out FILE]\n\
-         \x20      pard-loadgen --bench quick|full [--label NAME] [--out FILE]\n\
-         \x20                   [--check BENCH_gateway.json]\n\
          \n\
          --app accepts a comma-separated list; connections round-robin\n\
          across the entries (multi-tenant gateways).\n\
@@ -41,88 +39,9 @@ fn usage() -> ! {
          \n\
          --mux multiplexes every open-loop connection onto one epoll\n\
          thread (wall pacing) — the C10K discipline; use it for\n\
-         --connections counts in the thousands.\n\
-         \n\
-         --bench runs the self-contained loopback benchmark matrix (boots\n\
-         its own gateways; no --addr). --check compares throughput per case\n\
-         against the newest run in the given trajectory file and exits 1 on\n\
-         gross (<0.5x) regression. --out appends the run to the trajectory\n\
-         file (creating it if missing)."
+         --connections counts in the thousands."
     );
     std::process::exit(2);
-}
-
-/// `--bench` entry point: run the matrix, optionally check against and
-/// append to a trajectory file.
-fn run_bench(effort: &str, label: &str, out: Option<&str>, check: Option<&str>) -> ! {
-    use pard_gateway::bench::{self, Effort, Trajectory};
-    let effort = match effort {
-        "quick" => Effort::Quick,
-        "full" => Effort::Full,
-        other => {
-            eprintln!("unknown bench effort {other:?} (quick, full)");
-            usage()
-        }
-    };
-    let run = match bench::run_matrix(label, effort) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("bench matrix failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", run.render());
-    let mut failed = false;
-    if let Some(path) = check {
-        let baseline = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Trajectory::from_json(&text));
-        match baseline {
-            Ok(trajectory) => match trajectory.latest() {
-                Some(latest) => {
-                    let violations = bench::check_against(latest, &run);
-                    if violations.is_empty() {
-                        println!(
-                            "check vs {path} ({}): all {} cases within bounds",
-                            latest.label,
-                            latest.rows.len()
-                        );
-                    } else {
-                        for v in &violations {
-                            eprintln!("REGRESSION {v}");
-                        }
-                        failed = true;
-                    }
-                }
-                None => eprintln!("trajectory {path} has no runs; nothing to check"),
-            },
-            Err(e) => {
-                eprintln!("cannot check against {path}: {e}");
-                failed = true;
-            }
-        }
-    }
-    if let Some(path) = out {
-        let mut trajectory = match std::fs::read_to_string(path) {
-            Ok(text) => match Trajectory::from_json(&text) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot append to {path}: {e}");
-                    std::process::exit(1);
-                }
-            },
-            Err(_) => Trajectory::default(),
-        };
-        trajectory.runs.push(run);
-        match std::fs::write(path, trajectory.to_json() + "\n") {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                failed = true;
-            }
-        }
-    }
-    std::process::exit(if failed { 1 } else { 0 });
 }
 
 fn main() {
@@ -134,9 +53,6 @@ fn main() {
     let mut trace_kind: Option<TraceKind> = None;
     let mut requests = 100usize;
     let mut out_path: Option<String> = None;
-    let mut bench: Option<String> = None;
-    let mut label = "run".to_string();
-    let mut check: Option<String> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -186,17 +102,10 @@ fn main() {
             "--seed" => config.seed = value().parse().unwrap_or_else(|_| usage()),
             "--mux" => config.mux = true,
             "--out" => out_path = Some(value()),
-            "--bench" => bench = Some(value()),
-            "--label" => label = value(),
-            "--check" => check = Some(value()),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
         i += 1;
-    }
-
-    if let Some(effort) = bench {
-        run_bench(&effort, &label, out_path.as_deref(), check.as_deref());
     }
 
     let Some(addr) = addr else { usage() };

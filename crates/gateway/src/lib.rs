@@ -31,7 +31,6 @@
 
 pub mod adaptive;
 pub mod admission;
-pub mod bench;
 pub mod client;
 pub mod loadgen;
 pub mod netpoll;
@@ -42,13 +41,12 @@ pub mod wire;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveState, FloorAdjustment};
 pub use admission::{
-    edge_decision, edge_sub_estimate, AdmissionFloor, EdgePublisher, EdgeSnapshot, EdgeTrace,
-    SnapshotReader,
+    Admission, AdmissionFloor, AdmitPermit, EdgeAdmitter, EdgePublisher, EdgeSnapshot, EdgeTrace,
+    SnapshotReader, EDGE_ID_BASE,
 };
-pub use bench::{BenchRow, BenchRun, Trajectory};
 pub use client::{Answer, CallSpec, Client, Drained, RetryPolicy};
 pub use loadgen::{LoadMode, LoadgenConfig, LoadgenReport, Pace};
 pub use pending::PendingMap;
-pub use server::{AppConfig, Gateway, GatewayConfig, RateLimit, EDGE_ID_BASE};
+pub use server::{AppConfig, Gateway, GatewayConfig, RateLimit};
 pub use telemetry::RttWindow;
 pub use wire::{ErrorCode, Reply, Request, Response, ServerError, WireError, WireOutcome};

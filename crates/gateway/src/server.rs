@@ -30,12 +30,15 @@
 //!
 //! # The hot path
 //!
-//! * **Admission is lock-free.** The poller publishes an immutable
-//!   [`EdgeSnapshot`] (with the critical-path admission arithmetic
-//!   precomputed) through an epoch counter; each shard thread
-//!   revalidates its cached `Arc` with a single atomic load and
-//!   decides with pure arithmetic — no lock, no clone, no allocation
-//!   (see [`crate::admission::EdgePublisher`]).
+//! * **Admission is one call, and lock-free.** Each app's
+//!   [`EdgeAdmitter`] owns the whole admission sequence; this module
+//!   keeps only the transport around it (pending reservation, pump
+//!   wake, reply sink). The poller publishes an immutable
+//!   [`crate::admission::EdgeSnapshot`] (with the critical-path
+//!   admission arithmetic precomputed) through an epoch counter; each
+//!   shard thread revalidates its cached `Arc` with a single atomic
+//!   load and decides with pure arithmetic — no lock, no clone, no
+//!   allocation (see [`crate::admission::EdgePublisher`]).
 //! * **The pending table is sharded and tenant-fair.** Submits and
 //!   completions on different requests land on different
 //!   [`crate::pending::PendingMap`] shards; capacity is one atomic
@@ -51,9 +54,8 @@
 //!   work arrives instead of on the pump thread's next idle tick,
 //!   which is what bounds closed-loop RTT on the sim backend.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::collections::HashMap;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -64,37 +66,36 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use pard_core::Decision;
-use pard_engine_api::{Completion, EngineHandle, SubmitSpec};
-use pard_metrics::{DropReason, ModuleDropCounters, Outcome, RequestLog, ServingCounters};
-use pard_obs::{EngineFrame, FlightRecorder, FrameBus, ObsEvent, ObsKind};
+use pard_engine_api::{Completion, EngineHandle};
+use pard_metrics::{ModuleDropCounters, Outcome, RequestLog, ServingCounters};
+use pard_obs::{FlightRecorder, FrameBus};
 use pard_sim::{SimDuration, SimTime, TokenBucket};
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveState};
-use crate::admission::{EdgePublisher, EdgeSnapshot, SnapshotReader};
+use crate::adaptive::AdaptiveConfig;
+use crate::admission::{Admission, EdgeAdmitter, SnapshotReader};
 use crate::netpoll::{Poller, Waker, READABLE, WRITABLE};
 use crate::pending::PendingMap;
-use crate::telemetry::{window_rates, RttWindow, DEFAULT_RTT_SAMPLES};
+use crate::telemetry::{RttWindow, DEFAULT_RTT_SAMPLES};
 use crate::wire::{seq_hint, ClientLine, ErrorCode, Request, Response};
+
+mod http;
+mod replay;
+
+pub use http::render_metrics_text;
+use http::{build_frame, metrics_loop};
+use replay::{replay_drain_ready, ParkedAction, ReplayCoordinator};
 
 /// Hard cap on one request line; a connection exceeding it gets an
 /// error response and is closed, bounding per-connection memory against
 /// newline-free byte streams.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Ids for edge-rejected requests live in their own space so they can
-/// never collide with engine-assigned ids (record indices, which a
-/// process cannot push anywhere near 2^52). The base is kept within
-/// f64's exact-integer range because wire ids travel as JSON numbers:
-/// 2^52 + seq round-trips exactly for any realistic seq, where 2^63
-/// would silently lose its low bits.
-pub const EDGE_ID_BASE: u64 = 1 << 52;
-
 /// Pending-table keys namespace the engine-assigned id by app index so
 /// two engines assigning the same dense ids cannot collide in the
 /// shared table. App 0's keys equal its raw ids (the single-app case
 /// is bit-identical to the pre-multi-tenant gateway), and the shift
-/// clears both the engine-id range and [`EDGE_ID_BASE`].
+/// clears both the engine-id range and
+/// [`EDGE_ID_BASE`](crate::admission::EDGE_ID_BASE).
 const TENANT_SHIFT: u32 = 54;
 
 #[inline]
@@ -141,8 +142,9 @@ pub struct GatewayConfig {
     /// gateways serving mutually untrusting clients; such requests are
     /// then answered with a `malformed` envelope.
     pub allow_replay: bool,
-    /// How often the telemetry sampler publishes an [`EngineFrame`]
-    /// (the `/events` stream's cadence, wall clock).
+    /// How often the telemetry sampler publishes a
+    /// [`pard_obs::EngineFrame`] (the `/events` stream's cadence, wall
+    /// clock).
     pub telemetry_period: Duration,
     /// Event-loop shard threads sharing the connection population.
     pub shards: usize,
@@ -417,27 +419,16 @@ struct AppState {
     index: usize,
     /// The wire `app` field that routes here (`engine.spec().name`).
     name: String,
-    engine: Box<dyn EngineHandle>,
+    /// The app's admission path; owns the engine, the published
+    /// snapshot, the rate limiter and the adaptive re-planner.
+    admitter: EdgeAdmitter,
     counters: Arc<ServingCounters>,
     module_drops: Arc<ModuleDropCounters>,
-    /// The epoch-published admission snapshot (see the module docs).
-    snapshot: EdgePublisher,
     pump_signal: PumpSignal,
-    /// The pipeline's entry module (static).
-    source: usize,
-    /// Downstream paths from the entry module to the sink (static) —
-    /// the admission estimate charges the critical one, so parallel
-    /// DAG branches are not double-counted.
-    paths: Vec<Vec<usize>>,
     /// Cached [`EngineHandle::stepped`]: live engines never need the
     /// pump, so per-request submit paths must not touch the pump
     /// signal for them at all.
     stepped: bool,
-    /// The engine's flight recorder ([`EngineHandle::telemetry`]);
-    /// edge admission decisions are recorded into the same ring the
-    /// engine writes its lifecycle events to, so `/flightrecord`
-    /// serves one time-ordered stream.
-    recorder: Option<Arc<FlightRecorder>>,
     /// The `/events` stream's frame bus: the sampler publishes, SSE
     /// subscribers wait. Laggy subscribers skip to the latest frame
     /// and can never block the sampler.
@@ -445,15 +436,6 @@ struct AppState {
     /// Rolling RTT window behind `pard_gateway_rtt_us` and the frame
     /// quantiles; completions push, scrapes read.
     rtt: Arc<RttWindow>,
-    /// Per-tenant edge rate limiter, refilled on this engine's clock.
-    limiter: Option<Mutex<TokenBucket>>,
-    /// Online re-planner + brownout controller; `None` keeps the floor
-    /// on the static profile. Snapshot rebuilds are already serialized
-    /// per app in the common case (one poller, or the replay gate), so
-    /// the mutex is uncontended — it exists for the race between the
-    /// wall-clock poller and a scheduled-replay rebuild, where fold
-    /// order must be serialized for determinism.
-    adaptive: Option<Mutex<AdaptiveState>>,
     /// `false` once the engine-pump watchdog tripped: the engine is
     /// wedged or panicked, requests are refused, pending ones flushed.
     healthy: AtomicBool,
@@ -464,85 +446,12 @@ struct AppState {
 }
 
 impl AppState {
-    /// Builds a fresh snapshot from the engine's current state (the
-    /// poller tick, and the scheduled-replay path).
-    ///
-    /// With the adaptive layer on, this is where the feedback loop
-    /// closes: drain the engine's flight-recorder stream, fold it into
-    /// the estimator, and compute the floor from *observed* per-module
-    /// latencies instead of the static profile. Every floor movement
-    /// the fold produced is stamped back into the recorder with the
-    /// resulting `L_sub`.
-    fn fresh_snapshot(&self) -> EdgeSnapshot {
-        let mut state = self.engine.edge_state();
-        let adjustments = match (&self.adaptive, &self.recorder) {
-            (Some(adaptive), Some(recorder)) => {
-                adaptive
-                    .lock()
-                    .observe_and_adjust(recorder, &mut state, self.source)
-            }
-            _ => Vec::new(),
-        };
-        let snapshot = EdgeSnapshot::new(state, self.source, &self.paths);
-        if !adjustments.is_empty() {
-            if let Some(recorder) = &self.recorder {
-                let t_us = self.engine.now().as_micros();
-                let sub_us = snapshot.floor().sub_total().as_micros();
-                for adj in adjustments {
-                    recorder.record(&ObsEvent {
-                        t_us,
-                        req: 0,
-                        kind: ObsKind::FloorAdjust {
-                            module: adj.module,
-                            cause: adj.cause,
-                            observed_us: adj.observed_us,
-                            profiled_us: adj.profiled_us,
-                            sub_us,
-                        },
-                    });
-                }
-            }
-        }
-        snapshot
+    fn engine(&self) -> &dyn EngineHandle {
+        self.admitter.engine()
     }
 
     fn is_healthy(&self) -> bool {
         self.healthy.load(Ordering::Acquire)
-    }
-
-    /// Records one edge admission decision into the engine's flight
-    /// recorder: the Eq. 3 inputs plus the verdict. `reason` is the
-    /// drop reason for rejections, `None` for admissions. Costs one
-    /// ring write; a no-op for engines without a recorder.
-    #[inline]
-    fn record_edge_decision(
-        &self,
-        now: SimTime,
-        id: u64,
-        trace: &crate::admission::EdgeTrace,
-        reason: Option<DropReason>,
-    ) {
-        if let Some(recorder) = &self.recorder {
-            recorder.record(&ObsEvent {
-                t_us: now.as_micros(),
-                req: id,
-                kind: ObsKind::EdgeDecision {
-                    lead_us: trace.lead_us,
-                    sub_us: trace.sub_us,
-                    slack_us: trace.slack_us,
-                    reason,
-                },
-            });
-        }
-    }
-
-    /// One token-bucket acquire on this app's clock; `true` when no
-    /// limit is configured.
-    fn admit_rate(&self, now: SimTime) -> bool {
-        match &self.limiter {
-            Some(limiter) => limiter.lock().try_acquire(now),
-            None => true,
-        }
     }
 }
 
@@ -578,9 +487,6 @@ struct Core {
     by_name: HashMap<String, usize>,
     /// The shared pending table; tenant index == app index.
     pending: Arc<PendingMap<PendingEntry, Completion>>,
-    /// Edge-rejection id counter, shared across apps so edge ids stay
-    /// unique gateway-wide.
-    edge_seq: AtomicU64,
     allow_replay: bool,
     /// Stops admitting (requests answered `shutting_down`).
     shutdown: AtomicBool,
@@ -592,184 +498,6 @@ struct Core {
     chaos: Option<ChaosConfig>,
     /// Gateway start instant; the pump watchdog's time base.
     epoch: Instant,
-}
-
-// ---------------------------------------------------------------------------
-// Multi-connection deterministic replay
-// ---------------------------------------------------------------------------
-
-/// Orders scheduled requests from `K` cooperating replay connections.
-///
-/// Each participant's *watermark* is the `at_us` of the last control
-/// or scheduled line it sent — its promise that nothing earlier is
-/// still coming (arrival schedules are non-decreasing per connection).
-/// Scheduled requests park in a heap keyed `(at, party, intra)` and
-/// drain strictly below the minimum watermark across all parties, so
-/// the admission order — and therefore every admission decision — is a
-/// pure function of the schedule, not of socket interleaving. Parked
-/// `advance_us` actions drain at-or-below the gate (advancing a clock
-/// to a time every future entry is at or past is order-neutral), which
-/// is what lets the trailing advances release the tail. A participant
-/// that disconnects releases its watermark so the others finish.
-struct ReplayCoordinator {
-    /// Declared group size; 0 until the first `replay_join`.
-    parties: u64,
-    /// Per-participant watermarks (`u64::MAX` = departed).
-    watermarks: Vec<u64>,
-    /// Per-participant arrival counters breaking `at` ties stably.
-    intra: Vec<u64>,
-    heap: BinaryHeap<Reverse<Parked>>,
-}
-
-struct Parked {
-    at: u64,
-    /// Client-assigned sequence number (`u64::MAX` when absent, and for
-    /// clock advances). Party indices are assigned by racy join-arrival
-    /// order, so same-`at` entries from different connections would
-    /// otherwise order differently run to run; a replaying client that
-    /// stamps globally-unique `seq`s gets a schedule-determined order.
-    seq: u64,
-    party: usize,
-    intra: u64,
-    action: ParkedAction,
-}
-
-enum ParkedAction {
-    Advance {
-        to_us: u64,
-    },
-    Request {
-        app: usize,
-        sink: ReplySink,
-        request: Request,
-    },
-}
-
-impl PartialEq for Parked {
-    fn eq(&self, other: &Parked) -> bool {
-        (self.at, self.seq, self.party, self.intra)
-            == (other.at, other.seq, other.party, other.intra)
-    }
-}
-impl Eq for Parked {}
-impl PartialOrd for Parked {
-    fn partial_cmp(&self, other: &Parked) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Parked {
-    fn cmp(&self, other: &Parked) -> std::cmp::Ordering {
-        (self.at, self.seq, self.party, self.intra).cmp(&(
-            other.at,
-            other.seq,
-            other.party,
-            other.intra,
-        ))
-    }
-}
-
-impl ReplayCoordinator {
-    fn new() -> ReplayCoordinator {
-        ReplayCoordinator {
-            parties: 0,
-            watermarks: Vec::new(),
-            intra: Vec::new(),
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Registers one participant; returns its party index.
-    fn join(&mut self, parties: u64) -> Result<usize, String> {
-        if self.parties == 0 {
-            self.parties = parties;
-        } else if self.parties != parties {
-            return Err(format!(
-                "a replay group of {} parties is already declared",
-                self.parties
-            ));
-        }
-        if self.watermarks.len() as u64 == self.parties {
-            return Err(format!(
-                "the replay group of {} parties is already full",
-                self.parties
-            ));
-        }
-        self.watermarks.push(0);
-        self.intra.push(0);
-        Ok(self.watermarks.len() - 1)
-    }
-
-    /// All declared parties have joined; nothing drains before this.
-    fn complete(&self) -> bool {
-        self.parties > 0 && self.watermarks.len() as u64 == self.parties
-    }
-
-    /// Raises a participant's watermark (non-decreasing).
-    fn raise(&mut self, party: usize, at: u64) {
-        if at > self.watermarks[party] {
-            self.watermarks[party] = at;
-        }
-    }
-
-    /// Parks one action under `(at, seq, party, next intra)`.
-    fn park(&mut self, party: usize, at: u64, seq: u64, action: ParkedAction) {
-        let intra = self.intra[party];
-        self.intra[party] += 1;
-        self.heap.push(Reverse(Parked {
-            at,
-            seq,
-            party,
-            intra,
-            action,
-        }));
-    }
-
-    /// A participant disconnected: release its gate so the rest of the
-    /// group can finish (in the success path its trailing advance
-    /// already raised the watermark past everything, so this is a
-    /// no-op there).
-    fn leave(&mut self, party: usize) {
-        self.watermarks[party] = u64::MAX;
-    }
-
-    /// Removes every parked action (the shutdown flush).
-    fn flush(&mut self) -> Vec<Parked> {
-        self.heap.drain().map(|r| r.0).collect()
-    }
-}
-
-/// Drains every parked action that is safely ordered: requests
-/// strictly below the minimum watermark, clock advances at or below
-/// it. Call with the coordinator lock held.
-fn replay_drain_ready(coordinator: &mut ReplayCoordinator, core: &Core) {
-    if !coordinator.complete() {
-        return;
-    }
-    let gate = coordinator.watermarks.iter().copied().min().unwrap_or(0);
-    loop {
-        let pop = match coordinator.heap.peek() {
-            Some(Reverse(top)) => match top.action {
-                ParkedAction::Advance { .. } => top.at <= gate,
-                ParkedAction::Request { .. } => top.at < gate,
-            },
-            None => false,
-        };
-        if !pop {
-            return;
-        }
-        let parked = coordinator.heap.pop().expect("peeked").0;
-        match parked.action {
-            ParkedAction::Advance { to_us } => {
-                for app in &core.apps {
-                    app.engine.advance_to(SimTime::from_micros(to_us));
-                }
-            }
-            ParkedAction::Request { app, sink, request } => {
-                let at = request.at_us.expect("parked requests are scheduled");
-                serve_scheduled(core, &core.apps[app], &sink, &request, at, true);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -821,11 +549,8 @@ fn shard_loop(core: Arc<Core>, inbox: Arc<ShardInbox>) {
     }
     // One cached snapshot reader per app, revalidated per request with
     // a single atomic epoch load.
-    let mut snapshots: Vec<SnapshotReader> = core
-        .apps
-        .iter()
-        .map(|app| SnapshotReader::new(&app.snapshot))
-        .collect();
+    let mut snapshots: Vec<SnapshotReader> =
+        core.apps.iter().map(|app| app.admitter.reader()).collect();
     let mut conns: HashMap<u64, ConnState> = HashMap::new();
     let mut next_token = 0u64;
     let mut events = Vec::new();
@@ -1291,7 +1016,7 @@ fn handle_line(
                 }
                 None => {
                     for app in &core.apps {
-                        app.engine.advance_to(SimTime::from_micros(to_us));
+                        app.engine().advance_to(SimTime::from_micros(to_us));
                     }
                 }
             }
@@ -1456,48 +1181,21 @@ fn handle_line(
             replay_drain_ready(&mut coordinator, core);
         }
         (Some(at), None) => serve_scheduled(core, app, sink, &request, at, false),
-        (None, _) => serve_now(core, &mut snapshots[app_index], app, sink, &request),
+        (None, _) => {
+            // The ordinary hot path: decide against the published
+            // snapshot — pure reads on shared immutable data, no lock.
+            let admission = app
+                .admitter
+                .decide_now(&mut snapshots[app_index], request.slo_ms);
+            finish_admission(core, app, sink, &request, admission, false);
+        }
     }
 }
 
-/// The ordinary hot path: decide against the published snapshot — pure
-/// reads on shared immutable data, no lock.
-fn serve_now(
-    core: &Core,
-    reader: &mut SnapshotReader,
-    app: &AppState,
-    sink: &ReplySink,
-    request: &Request,
-) {
-    let now = app.engine.now();
-    if !app.admit_rate(now) {
-        app.counters.rate_limited.incr();
-        sink.line(
-            Response::error_line(
-                ErrorCode::RateLimited,
-                request.seq,
-                &format!("rate limit exceeded for app {:?}", app.name),
-            ),
-            false,
-        );
-        return;
-    }
-    let slo = request
-        .slo_ms
-        .map(SimDuration::saturating_from_millis)
-        .unwrap_or(app.engine.spec().slo);
-    let deadline = now.saturating_add(slo);
-    let (decision, trace) = reader.current(&app.snapshot).decide_traced(now, deadline);
-    finish_decision(
-        core, app, sink, request, slo, now, decision, &trace, None, false,
-    );
-}
-
-/// A scheduled request (deterministic trace replay) first steers the
-/// stepped clock to its virtual arrival time; admission — and the rate
-/// limiter — then run against a snapshot taken at exactly that
-/// instant, so the decision is a pure function of the schedule. Live
-/// engines ignore the advance and serve the request on receipt.
+/// A scheduled request (deterministic trace replay) is decided at its
+/// virtual arrival time (see [`EdgeAdmitter::decide_at`]); `settles`
+/// marks one that parked in the replay group, whose reply was owed
+/// from park time.
 fn serve_scheduled(
     core: &Core,
     app: &AppState,
@@ -1521,64 +1219,41 @@ fn serve_scheduled(
         );
         return;
     }
-    app.engine.advance_to(SimTime::from_micros(at_us));
-    let now = app.engine.now();
-    if !app.admit_rate(now) {
-        app.counters.rate_limited.incr();
-        sink.line(
-            Response::error_line(
-                ErrorCode::RateLimited,
-                request.seq,
-                &format!("rate limit exceeded for app {:?}", app.name),
-            ),
-            settles,
-        );
-        return;
-    }
-    let slo = request
-        .slo_ms
-        .map(SimDuration::saturating_from_millis)
-        .unwrap_or(app.engine.spec().slo);
-    let deadline = now.saturating_add(slo);
-    let (decision, trace) = app.fresh_snapshot().decide_traced(now, deadline);
-    finish_decision(
-        core,
-        app,
-        sink,
-        request,
-        slo,
-        now,
-        decision,
-        &trace,
-        Some(at_us),
-        settles,
-    );
+    let admission = app.admitter.decide_at(at_us, request.slo_ms);
+    finish_admission(core, app, sink, request, admission, settles);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn finish_decision(
+/// The transport half of admission: count the verdict, answer what the
+/// edge already resolved, and for an admitted request reserve its
+/// pending slot *before* the permit submits it.
+fn finish_admission(
     core: &Core,
     app: &AppState,
     sink: &ReplySink,
     request: &Request,
-    slo: SimDuration,
-    now: SimTime,
-    decision: Decision,
-    trace: &crate::admission::EdgeTrace,
-    at_us: Option<u64>,
+    admission: Admission<'_>,
     settles: bool,
 ) {
-    match decision {
-        Decision::Drop(reason) => {
+    match admission {
+        Admission::RateLimited => {
+            app.counters.rate_limited.incr();
+            sink.line(
+                Response::error_line(
+                    ErrorCode::RateLimited,
+                    request.seq,
+                    &format!("rate limit exceeded for app {:?}", app.name),
+                ),
+                settles,
+            );
+        }
+        Admission::Rejected { id, reason } => {
             app.counters.rejected.incr();
-            let id = EDGE_ID_BASE + core.edge_seq.fetch_add(1, Ordering::Relaxed);
-            app.record_edge_decision(now, id, trace, Some(reason));
             sink.reply(
                 Response::dropped(id, request.seq, true, reason.label()),
                 settles,
             );
         }
-        Decision::Admit => {
+        Admission::Admitted(permit) => {
             // Reserve capacity before the submit; the entry itself is
             // filed right after, and the shard-level orphan parking
             // closes the race with a completion firing in between (see
@@ -1601,21 +1276,13 @@ fn finish_decision(
                 return;
             }
             app.counters.admitted.incr();
-            let id = app.engine.submit(SubmitSpec {
-                slo: Some(slo),
-                tag: 0,
-                // Scheduled requests keep the replay gate pinned at
-                // their arrival; plain requests release it (see
-                // [`pard_engine_api::SubmitSpec::at`]).
-                at: at_us.map(SimTime::from_micros),
-            });
-            app.record_edge_decision(now, id, trace, None);
+            let id = permit.submit();
             // Give the pump thread the work immediately — stepped
             // engines only; a live engine resolves work on its own
             // threads and must not pay a per-request signal lock.
             // Scheduled replay skips the wake: the replay connection
             // drives the clock itself.
-            if app.stepped && at_us.is_none() {
+            if app.stepped && request.at_us.is_none() {
                 app.pump_signal.notify();
             }
             if !settles {
@@ -1780,6 +1447,9 @@ impl Gateway {
         let pending: Arc<PendingMap<PendingEntry, Completion>> =
             Arc::new(PendingMap::with_tenants(config.max_pending, guaranteed));
 
+        // Edge ids are drawn from one counter so they stay unique
+        // gateway-wide.
+        let edge_ids = Arc::new(AtomicU64::new(0));
         let mut states = Vec::with_capacity(apps.len());
         let mut by_name = HashMap::new();
         let mut completion_rxs = Vec::new();
@@ -1792,9 +1462,6 @@ impl Gateway {
             let (completion_tx, completion_rx) = mpsc::channel();
             engine.set_completion_sink(completion_tx);
             completion_rxs.push(completion_rx);
-            let source = engine.spec().source();
-            let paths = pard_pipeline::graph::downstream_paths(engine.spec(), source);
-            let recorder = engine.telemetry();
             let name = engine.spec().name.clone();
             if by_name.insert(name.clone(), index).is_some() {
                 return Err(io::Error::new(
@@ -1802,37 +1469,25 @@ impl Gateway {
                     format!("two apps registered under the name {name:?}"),
                 ));
             }
-            let limiter = rate_limit.map(|limit| {
-                Mutex::new(TokenBucket::new(
-                    limit.rate_per_sec,
-                    limit.burst,
-                    engine.now(),
-                ))
-            });
+            let limiter = rate_limit
+                .map(|limit| TokenBucket::new(limit.rate_per_sec, limit.burst, engine.now()));
             states.push(Arc::new(AppState {
                 index,
                 name,
-                snapshot: EdgePublisher::new(EdgeSnapshot::new(
-                    engine.edge_state(),
-                    source,
-                    &paths,
-                )),
                 counters: Arc::new(ServingCounters::new()),
                 module_drops: Arc::new(ModuleDropCounters::new(engine.spec().modules.len())),
                 pump_signal: PumpSignal::new(),
-                source,
-                paths,
                 stepped: engine.stepped(),
-                recorder,
                 frames: Arc::new(FrameBus::new()),
                 rtt: Arc::new(RttWindow::new(DEFAULT_RTT_SAMPLES)),
-                limiter,
-                adaptive: config
-                    .adaptive
-                    .map(|cfg| Mutex::new(AdaptiveState::new(cfg))),
                 healthy: AtomicBool::new(true),
                 pump_entered_ms: AtomicU64::new(u64::MAX),
-                engine,
+                admitter: EdgeAdmitter::new(
+                    engine,
+                    config.adaptive,
+                    limiter,
+                    Arc::clone(&edge_ids),
+                ),
             }));
         }
 
@@ -1840,7 +1495,6 @@ impl Gateway {
             apps: states,
             by_name,
             pending: Arc::clone(&pending),
-            edge_seq: AtomicU64::new(0),
             allow_replay: config.allow_replay,
             shutdown: AtomicBool::new(false),
             stop_io: AtomicBool::new(false),
@@ -1900,7 +1554,7 @@ impl Gateway {
                                 continue;
                             }
                         }
-                        app.snapshot.publish(app.fresh_snapshot());
+                        app.admitter.refresh();
                     }
                     std::thread::sleep(refresh);
                 }
@@ -1930,7 +1584,7 @@ impl Gateway {
                         let now_ms = core.epoch.elapsed().as_millis() as u64;
                         app.pump_entered_ms.store(now_ms, Ordering::Release);
                         let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            app.engine.pump()
+                            app.engine().pump()
                         }));
                         app.pump_entered_ms.store(u64::MAX, Ordering::Release);
                         match pumped {
@@ -2049,14 +1703,14 @@ impl Gateway {
     /// The first app's flight recorder, if its engine records
     /// lifecycle events — the same ring `/flightrecord` serves.
     pub fn recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.core.apps[0].recorder.clone()
+        self.core.apps[0].admitter.recorder().cloned()
     }
 
     /// One app's flight recorder, by wire name (the ring
     /// `/flightrecord?app=NAME` serves).
     pub fn recorder_of(&self, app: &str) -> Option<Arc<FlightRecorder>> {
         let index = *self.core.by_name.get(app)?;
-        self.core.apps[index].recorder.clone()
+        self.core.apps[index].admitter.recorder().cloned()
     }
 
     /// The first app's telemetry frame bus (the `/events` stream);
@@ -2115,7 +1769,7 @@ impl Gateway {
             }
             let mut progressed = false;
             for app in &core.apps {
-                if app.is_healthy() && app.engine.pump() {
+                if app.is_healthy() && app.engine().pump() {
                     progressed = true;
                 }
             }
@@ -2171,7 +1825,7 @@ impl Gateway {
                 // A watchdog-tripped engine may panic again in drain;
                 // its log is forfeit, the other apps' logs are not.
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    app.engine.drain(drain_virtual)
+                    app.engine().drain(drain_virtual)
                 }))
                 .unwrap_or_default()
             })
@@ -2183,559 +1837,10 @@ impl Gateway {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Telemetry and the observability endpoints
-// ---------------------------------------------------------------------------
-
-/// One telemetry sample for one app: the cumulative serving counters
-/// plus window rates differenced against `prev`, the published
-/// admission snapshot's queue state and floor, the app's pending-table
-/// share, the summed per-reason drop counters, and the rolling RTT
-/// quantiles. Returns the counter snapshot it used so the sampler
-/// differences the next frame against exactly what this one reported.
-fn build_frame(
-    core: &Core,
-    app: &AppState,
-    seq: u64,
-    prev: &pard_metrics::CountersSnapshot,
-) -> (EngineFrame, pard_metrics::CountersSnapshot) {
-    let counts = app.counters.snapshot();
-    let snapshot = app.snapshot.load();
-    let state = snapshot.state();
-    let floor = snapshot.floor();
-    let module_drops = app.module_drops.snapshot();
-    let mut drops_by_reason = vec![0u64; DropReason::ALL.len()];
-    for module in &module_drops.counts {
-        for (total, n) in drops_by_reason.iter_mut().zip(module) {
-            *total += n;
-        }
-    }
-    let rates = window_rates(prev, &counts);
-    let [p50, p95, p99] = app.rtt.quantiles();
-    let frame = EngineFrame {
-        seq,
-        t_us: app.engine.now().as_micros(),
-        queues: state.queue_depths.clone(),
-        workers: state.workers.clone(),
-        pending: core.pending.tenant_len(app.index),
-        floor_lead_us: floor.lead().as_micros(),
-        floor_sub_us: floor.sub_total().as_micros(),
-        received: counts.received,
-        admitted: counts.admitted,
-        rejected: counts.rejected,
-        refused: counts.refused,
-        completed_ok: counts.completed_ok,
-        completed_late: counts.completed_late,
-        dropped: counts.dropped,
-        drops_by_reason,
-        window_goodput: rates.goodput,
-        window_violation: rates.violation,
-        window_drop: rates.drop,
-        rtt_p50_us: p50,
-        rtt_p95_us: p95,
-        rtt_p99_us: p99,
-    };
-    (frame, counts)
-}
-
-fn metrics_loop(listener: TcpListener, core: Arc<Core>) {
-    // Each accepted connection gets its own thread: an `/events`
-    // subscriber holds its connection open indefinitely and must not
-    // block `/metrics` scrapes behind it.
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !core.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let core = Arc::clone(&core);
-                conns.retain(|h| !h.is_finished());
-                conns.push(std::thread::spawn(move || {
-                    let _ = serve_http(stream, &core);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    // Streaming handlers observe the shutdown flag within one wait
-    // timeout; one-shot handlers are already gone or about to be.
-    for handle in conns {
-        let _ = handle.join();
-    }
-}
-
-/// Minimal HTTP/1.x router for the observability listener: parse the
-/// request line, drain the header block, dispatch on the path — one
-/// request per connection. A malformed request line gets `400`, a
-/// non-GET method `405`, an unknown path `404`. On a multi-app gateway
-/// `/events` and `/flightrecord` take `?app=NAME` (default: the first
-/// registered app).
-fn serve_http(stream: TcpStream, core: &Core) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
-        return Ok(()); // client vanished before sending a request line
-    }
-    // Drain the header block so the close after a one-shot response is
-    // a clean FIN — a client still mid-send would otherwise see an RST
-    // clobber the response in flight. Bounded by the read timeout.
-    loop {
-        let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(n) if n > 0 && header != "\r\n" && header != "\n" => continue,
-            _ => break,
-        }
-    }
-    let mut stream = stream;
-    let Some((method, target)) = parse_request_line(&line) else {
-        return respond(
-            &mut stream,
-            "400 Bad Request",
-            "text/plain",
-            "malformed request line\n",
-        );
-    };
-    if method != "GET" {
-        return respond(
-            &mut stream,
-            "405 Method Not Allowed",
-            "text/plain",
-            "only GET is supported\n",
-        );
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((path, query)) => (path, Some(query)),
-        None => (target, None),
-    };
-    match path {
-        "/metrics" => respond(
-            &mut stream,
-            "200 OK",
-            "text/plain; version=0.0.4",
-            &render_metrics(core),
-        ),
-        "/events" => match query_app(core, query) {
-            Some(app) => serve_events(&mut stream, core, app),
-            None => respond_unknown_app(&mut stream, core),
-        },
-        "/flightrecord" => match query_app(core, query) {
-            Some(app) => serve_flightrecord(&mut stream, app, query),
-            None => respond_unknown_app(&mut stream, core),
-        },
-        _ => respond(
-            &mut stream,
-            "404 Not Found",
-            "text/plain",
-            "unknown path; try /metrics, /events, or /flightrecord\n",
-        ),
-    }
-}
-
-/// Splits a `METHOD SP TARGET SP HTTP/x.y` request line; `None` when
-/// the line does not have that shape.
-fn parse_request_line(line: &str) -> Option<(&str, &str)> {
-    let mut parts = line.trim_end().split(' ');
-    let method = parts.next()?;
-    let target = parts.next()?;
-    let version = parts.next()?;
-    if method.is_empty()
-        || !target.starts_with('/')
-        || !version.starts_with("HTTP/")
-        || parts.next().is_some()
-    {
-        return None;
-    }
-    Some((method, target))
-}
-
-/// First value for `key` in a raw query string.
-fn query_param<'q>(query: Option<&'q str>, key: &str) -> Option<&'q str> {
-    query.into_iter().flat_map(|q| q.split('&')).find_map(|kv| {
-        kv.split_once('=')
-            .filter(|(k, _)| *k == key)
-            .map(|(_, v)| v)
-    })
-}
-
-/// Resolves the `?app=NAME` selector; no selector means the first
-/// registered app, an unknown name means `None` (a 404).
-fn query_app<'a>(core: &'a Core, query: Option<&str>) -> Option<&'a Arc<AppState>> {
-    match query_param(query, "app") {
-        Some(name) => core.by_name.get(name).map(|&index| &core.apps[index]),
-        None => core.apps.first(),
-    }
-}
-
-fn respond_unknown_app(stream: &mut TcpStream, core: &Core) -> io::Result<()> {
-    let served: Vec<&str> = core.apps.iter().map(|a| a.name.as_str()).collect();
-    respond(
-        stream,
-        "404 Not Found",
-        "text/plain",
-        &format!("unknown app (serving {served:?})\n"),
-    )
-}
-
-fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    )
-}
-
-/// `GET /events`: streams telemetry frames as server-sent events, one
-/// `data:` line of JSON per frame. The subscriber always receives the
-/// *latest* frame — a laggy consumer skips intermediate frames rather
-/// than backpressuring the sampler — and the stream ends at shutdown
-/// or when the client disconnects.
-fn serve_events(stream: &mut TcpStream, core: &Core, app: &AppState) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n"
-    )?;
-    let mut seen = 0u64;
-    while !core.shutdown.load(Ordering::SeqCst) {
-        // The timeout exists only to re-check the shutdown flag.
-        let Some((epoch, frame)) = app.frames.wait_newer(seen, Duration::from_millis(250)) else {
-            continue;
-        };
-        seen = epoch;
-        write!(stream, "data: {}\n\n", frame.to_json_line())?;
-    }
-    Ok(())
-}
-
-/// `GET /flightrecord[?last_us=N]`: dumps the app engine's flight-
-/// recorder ring as JSONL, oldest event first — the whole retained
-/// window, or only events within `N` microseconds of the newest one.
-fn serve_flightrecord(
-    stream: &mut TcpStream,
-    app: &AppState,
-    query: Option<&str>,
-) -> io::Result<()> {
-    let last_us = match query_param(query, "last_us") {
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                return respond(
-                    stream,
-                    "400 Bad Request",
-                    "text/plain",
-                    "last_us must be an unsigned integer of microseconds\n",
-                )
-            }
-        },
-        None => None,
-    };
-    let Some(recorder) = &app.recorder else {
-        return respond(
-            stream,
-            "404 Not Found",
-            "text/plain",
-            "the engine behind this app exposes no flight recorder\n",
-        );
-    };
-    let events = match last_us {
-        Some(n) => recorder.dump_last_us(n),
-        None => recorder.dump(),
-    };
-    let mut body = String::with_capacity(events.len() * 96 + 1);
-    for event in &events {
-        body.push_str(&event.to_json_line());
-        body.push('\n');
-    }
-    respond(stream, "200 OK", "application/x-ndjson", &body)
-}
-
-/// Renders the Prometheus text exposition: the serving counters, the
-/// per-module drop series, plus live queue-depth / goodput gauges.
-pub fn render_metrics_text(
-    snapshot: pard_metrics::CountersSnapshot,
-    module_drops: &pard_metrics::ModuleDropsSnapshot,
-    state: &pard_engine_api::EdgeState,
-    pending: usize,
-) -> String {
-    let mut body = snapshot.to_prometheus("pard_gateway");
-    body.push_str(&module_drops.to_prometheus("pard_gateway"));
-    body.push_str("# TYPE pard_gateway_queue_depth gauge\n");
-    for (module, depth) in state.queue_depths.iter().enumerate() {
-        body.push_str(&format!(
-            "pard_gateway_queue_depth{{module=\"{module}\"}} {depth}\n"
-        ));
-    }
-    body.push_str(&format!(
-        "# TYPE pard_gateway_pending_requests gauge\npard_gateway_pending_requests {pending}\n"
-    ));
-    body.push_str(&format!(
-        "# TYPE pard_gateway_goodput_fraction gauge\npard_gateway_goodput_fraction {:.6}\n",
-        snapshot.goodput_fraction()
-    ));
-    body.push_str(&format!(
-        "# TYPE pard_gateway_drop_fraction gauge\npard_gateway_drop_fraction {:.6}\n",
-        snapshot.drop_fraction()
-    ));
-    body
-}
-
-/// The full `/metrics` body. A single-app gateway's exposition starts
-/// with the exact pre-multi-tenant body (the back-compat contract CI
-/// greps); a multi-app gateway starts with the same families summed
-/// across apps. Either way the per-app `{app="..."}` series follow.
-fn render_metrics(core: &Core) -> String {
-    let mut body = if core.apps.len() == 1 {
-        let app = &core.apps[0];
-        // The published snapshot is shared immutable data: rendering
-        // reads it through the same `Arc` the admission path uses
-        // instead of cloning the whole `EdgeState` per scrape.
-        let snapshot = app.snapshot.load();
-        let mut body = render_metrics_text(
-            app.counters.snapshot(),
-            &app.module_drops.snapshot(),
-            snapshot.state(),
-            core.pending.len(),
-        );
-        body.push_str(&crate::telemetry::render_rtt_lines(
-            "pard_gateway",
-            app.rtt.quantiles(),
-        ));
-        body
-    } else {
-        let mut total = pard_metrics::CountersSnapshot::default();
-        for app in &core.apps {
-            let s = app.counters.snapshot();
-            total.received += s.received;
-            total.admitted += s.admitted;
-            total.rejected += s.rejected;
-            total.completed_ok += s.completed_ok;
-            total.completed_late += s.completed_late;
-            total.dropped += s.dropped;
-            total.refused += s.refused;
-            total.rate_limited += s.rate_limited;
-            total.protocol_errors += s.protocol_errors;
-        }
-        let mut body = total.to_prometheus("pard_gateway");
-        body.push_str(&format!(
-            "# TYPE pard_gateway_pending_requests gauge\npard_gateway_pending_requests {}\n",
-            core.pending.len()
-        ));
-        body.push_str(&format!(
-            "# TYPE pard_gateway_goodput_fraction gauge\npard_gateway_goodput_fraction {:.6}\n",
-            total.goodput_fraction()
-        ));
-        body.push_str(&format!(
-            "# TYPE pard_gateway_drop_fraction gauge\npard_gateway_drop_fraction {:.6}\n",
-            total.drop_fraction()
-        ));
-        body
-    };
-    body.push_str(&render_app_series(core));
-    body
-}
-
-/// Per-app labeled series: every serving-counter family as
-/// `pard_gateway_app_<family>_total{app="..."}`, plus per-app pending
-/// and queue-depth gauges. App names come from the engine spec and are
-/// emitted verbatim (specs use identifier-like names).
-fn render_app_series(core: &Core) -> String {
-    type Pick = fn(&pard_metrics::CountersSnapshot) -> u64;
-    const FAMILIES: [(&str, Pick); 9] = [
-        ("received", |s| s.received),
-        ("admitted", |s| s.admitted),
-        ("rejected", |s| s.rejected),
-        ("completed_ok", |s| s.completed_ok),
-        ("completed_late", |s| s.completed_late),
-        ("dropped", |s| s.dropped),
-        ("refused", |s| s.refused),
-        ("rate_limited", |s| s.rate_limited),
-        ("protocol_errors", |s| s.protocol_errors),
-    ];
-    let snapshots: Vec<_> = core.apps.iter().map(|a| a.counters.snapshot()).collect();
-    let mut body = String::new();
-    for (family, pick) in FAMILIES {
-        body.push_str(&format!("# TYPE pard_gateway_app_{family}_total counter\n"));
-        for (app, snapshot) in core.apps.iter().zip(&snapshots) {
-            body.push_str(&format!(
-                "pard_gateway_app_{family}_total{{app=\"{}\"}} {}\n",
-                app.name,
-                pick(snapshot)
-            ));
-        }
-    }
-    body.push_str("# TYPE pard_gateway_app_pending_requests gauge\n");
-    for app in &core.apps {
-        body.push_str(&format!(
-            "pard_gateway_app_pending_requests{{app=\"{}\"}} {}\n",
-            app.name,
-            core.pending.tenant_len(app.index)
-        ));
-    }
-    body.push_str("# TYPE pard_gateway_app_queue_depth gauge\n");
-    for app in &core.apps {
-        let snapshot = app.snapshot.load();
-        for (module, depth) in snapshot.state().queue_depths.iter().enumerate() {
-            body.push_str(&format!(
-                "pard_gateway_app_queue_depth{{app=\"{}\",module=\"{module}\"}} {depth}\n",
-                app.name
-            ));
-        }
-    }
-    body.push_str("# TYPE pard_gateway_app_healthy gauge\n");
-    for app in &core.apps {
-        body.push_str(&format!(
-            "pard_gateway_app_healthy{{app=\"{}\"}} {}\n",
-            app.name,
-            u8::from(app.is_healthy())
-        ));
-    }
-    body
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pard_engine_api::EdgeState;
-    use pard_sim::SimDuration;
-
-    #[test]
-    fn metrics_text_contains_counters_and_gauges() {
-        use pard_metrics::{DropReason, ModuleDropCounters};
-
-        let state = EdgeState {
-            queue_depths: vec![3, 1],
-            workers: vec![2, 2],
-            batch_sizes: vec![4, 4],
-            exec_ms: vec![40.0, 20.0],
-            slo: SimDuration::from_millis(400),
-        };
-        let snapshot = pard_metrics::CountersSnapshot {
-            received: 10,
-            admitted: 8,
-            rejected: 2,
-            completed_ok: 6,
-            dropped: 2,
-            ..Default::default()
-        };
-        let module_drops = ModuleDropCounters::new(2);
-        module_drops.record(1, DropReason::PredictedViolation);
-        module_drops.record(1, DropReason::SiblingDropped);
-        let text = render_metrics_text(snapshot, &module_drops.snapshot(), &state, 2);
-        assert!(text.contains("pard_gateway_received_total 10"));
-        assert!(text.contains("pard_gateway_rejected_total 2"));
-        assert!(text.contains("pard_gateway_queue_depth{module=\"0\"} 3"));
-        assert!(text.contains("pard_gateway_queue_depth{module=\"1\"} 1"));
-        assert!(text.contains("pard_gateway_pending_requests 2"));
-        // Per-module drops are labeled series in the same exposition.
-        assert!(text.contains("# TYPE pard_gateway_module_dropped_total counter"));
-        assert!(
-            text.contains("pard_gateway_module_dropped_total{module=\"1\",reason=\"predicted\"} 1")
-        );
-        assert!(
-            text.contains("pard_gateway_module_dropped_total{module=\"1\",reason=\"sibling\"} 1")
-        );
-        assert!(
-            text.contains("pard_gateway_module_dropped_total{module=\"0\",reason=\"predicted\"} 0")
-        );
-    }
-
-    #[test]
-    fn metrics_scrape_format_is_well_formed() {
-        // Every line is either a `# TYPE <name> counter|gauge` header or
-        // a `<name>[{labels}] <value>` sample whose value parses —
-        // the contract an actual Prometheus scraper holds us to.
-        let state = EdgeState {
-            queue_depths: vec![0, 0],
-            workers: vec![1, 1],
-            batch_sizes: vec![4, 4],
-            exec_ms: vec![40.0, 20.0],
-            slo: SimDuration::from_millis(400),
-        };
-        let drops = pard_metrics::ModuleDropCounters::new(2);
-        drops.record(0, pard_metrics::DropReason::WorkerFailed);
-        let mut text = render_metrics_text(
-            pard_metrics::CountersSnapshot::default(),
-            &drops.snapshot(),
-            &state,
-            0,
-        );
-        // The full scrape appends the RTT summary family; hold it to
-        // the same contract.
-        text.push_str(&crate::telemetry::render_rtt_lines(
-            "pard_gateway",
-            [150.0, 900.0, 1200.5],
-        ));
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut parts = rest.split_whitespace();
-                let name = parts.next().expect("metric name");
-                assert!(name.starts_with("pard_gateway_"), "{line}");
-                let kind = parts.next().expect("metric kind");
-                assert!(
-                    kind == "counter" || kind == "gauge" || kind == "summary",
-                    "{line}"
-                );
-                assert_eq!(parts.next(), None, "{line}");
-            } else {
-                let (series, value) = line.rsplit_once(' ').expect("sample line");
-                assert!(series.starts_with("pard_gateway_"), "{line}");
-                if let Some(open) = series.find('{') {
-                    assert!(series.ends_with('}'), "{line}");
-                    let labels = &series[open + 1..series.len() - 1];
-                    for label in labels.split(',') {
-                        let (key, val) = label.split_once('=').expect("key=\"value\"");
-                        assert!(!key.is_empty(), "{line}");
-                        assert!(val.starts_with('"') && val.ends_with('"'), "{line}");
-                    }
-                }
-                assert!(value.parse::<f64>().is_ok(), "{line}");
-            }
-        }
-    }
-
-    #[test]
-    fn request_line_parser_accepts_http_and_rejects_noise() {
-        assert_eq!(
-            parse_request_line("GET /metrics HTTP/1.1\r\n"),
-            Some(("GET", "/metrics"))
-        );
-        assert_eq!(
-            parse_request_line("GET /flightrecord?last_us=5000 HTTP/1.0\n"),
-            Some(("GET", "/flightrecord?last_us=5000"))
-        );
-        assert_eq!(
-            parse_request_line("POST /events HTTP/1.1\r\n"),
-            Some(("POST", "/events"))
-        );
-        // Shapes that must 400: too few or too many tokens, a target
-        // that is not origin-form, a version that is not HTTP.
-        assert_eq!(parse_request_line("GET /metrics\r\n"), None);
-        assert_eq!(parse_request_line("GET /metrics HTTP/1.1 extra\r\n"), None);
-        assert_eq!(parse_request_line("GET metrics HTTP/1.1\r\n"), None);
-        assert_eq!(parse_request_line("GET /metrics SPDY/3\r\n"), None);
-        assert_eq!(parse_request_line("{\"app\":\"tm\"}\r\n"), None);
-    }
-
-    #[test]
-    fn edge_ids_round_trip_exactly_through_json_numbers() {
-        // Wire ids travel as f64; every edge id must survive the trip.
-        for seq in [0u64, 1, 2, 1_000_000_007] {
-            let id = EDGE_ID_BASE + seq;
-            assert_eq!((id as f64) as u64, id, "seq {seq} lost precision");
-        }
-        // And the space stays disjoint from any feasible record index.
-        assert!(EDGE_ID_BASE > u32::MAX as u64 * 1024);
-    }
-
-    #[test]
-    fn query_params_resolve_first_match() {
-        assert_eq!(query_param(Some("app=tm&last_us=5"), "app"), Some("tm"));
-        assert_eq!(query_param(Some("app=tm&last_us=5"), "last_us"), Some("5"));
-        assert_eq!(query_param(Some("last_us=5"), "app"), None);
-        assert_eq!(query_param(None, "app"), None);
-        assert_eq!(query_param(Some("app=a&app=b"), "app"), Some("a"));
-    }
+    use crate::admission::EDGE_ID_BASE;
 
     #[test]
     fn pending_keys_namespace_apps_and_preserve_app_zero() {
@@ -2751,77 +1856,5 @@ mod tests {
         let key = pending_key(3, 123_456);
         assert_eq!((key >> TENANT_SHIFT) as usize, 3);
         assert_eq!(key & ID_MASK, 123_456);
-    }
-
-    #[test]
-    fn replay_coordinator_orders_across_parties() {
-        let mut c = ReplayCoordinator::new();
-        let a = c.join(2).expect("first join");
-        assert!(!c.complete(), "one of two parties");
-        let b = c.join(2).expect("second join");
-        assert!(c.complete());
-        assert!(c.join(2).is_err(), "third join into a full group");
-
-        // Park out-of-order across parties; the heap orders by (at,
-        // seq, party, intra).
-        c.park(b, 30, u64::MAX, ParkedAction::Advance { to_us: 30 });
-        c.park(a, 10, u64::MAX, ParkedAction::Advance { to_us: 10 });
-        c.park(a, 10, u64::MAX, ParkedAction::Advance { to_us: 11 });
-        c.raise(a, 10);
-        c.raise(b, 30);
-        // Gate = min(10, 30) = 10: the two at=10 advances drain (at <=
-        // gate), the at=30 one stays.
-        let order: Vec<u64> = std::iter::from_fn(|| {
-            let ready = matches!(
-                c.heap.peek(),
-                Some(Reverse(top)) if top.at <= c.watermarks.iter().copied().min().unwrap()
-            );
-            ready.then(|| {
-                let Reverse(p) = c.heap.pop().unwrap();
-                match p.action {
-                    ParkedAction::Advance { to_us } => to_us,
-                    ParkedAction::Request { .. } => unreachable!(),
-                }
-            })
-        })
-        .collect();
-        assert_eq!(order, vec![10, 11]);
-
-        // A departed party releases the gate entirely.
-        c.leave(a);
-        assert_eq!(c.watermarks[a], u64::MAX);
-        assert_eq!(
-            c.watermarks.iter().copied().min().unwrap(),
-            30,
-            "the remaining party's watermark gates alone"
-        );
-        assert_eq!(c.flush().len(), 1, "the at=30 advance was still parked");
-    }
-
-    #[test]
-    fn replay_order_prefers_seq_over_join_order() {
-        // Party indices reflect racy join-arrival order; a client that
-        // stamps globally-unique seqs gets the same drain order no
-        // matter which connection joined first. Here the *higher*
-        // party's entry carries the lower seq and must drain first.
-        let mut c = ReplayCoordinator::new();
-        let a = c.join(2).expect("first join");
-        let b = c.join(2).expect("second join");
-        c.park(b, 50, 7, ParkedAction::Advance { to_us: 77 });
-        c.park(a, 50, 9, ParkedAction::Advance { to_us: 99 });
-        let pop = |c: &mut ReplayCoordinator| match c.heap.pop().unwrap().0.action {
-            ParkedAction::Advance { to_us } => to_us,
-            ParkedAction::Request { .. } => unreachable!(),
-        };
-        assert_eq!(pop(&mut c), 77, "seq 7 beats the lower party index");
-        assert_eq!(pop(&mut c), 99);
-    }
-
-    #[test]
-    fn replay_group_size_must_match() {
-        let mut c = ReplayCoordinator::new();
-        c.join(3).expect("declares the group");
-        let err = c.join(2).expect_err("mismatched size");
-        assert!(err.contains("3 parties"), "{err}");
     }
 }

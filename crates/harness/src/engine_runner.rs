@@ -6,34 +6,31 @@
 //! thousands of cells wants none of it: per-cell loopback listeners
 //! and connection threads would dominate runtime and fight over
 //! ephemeral ports. This module replays the *identical* schedule
-//! through [`EngineHandle`] directly, mirroring the gateway's
-//! scheduled-replay request path step for step:
+//! against the gateway's own [`EdgeAdmitter`] with no transport around
+//! it:
 //!
-//! 1. `advance_to(at)` pins the stepped clock to the scheduled arrival;
-//! 2. admission decides against a **fresh** [`EdgeSnapshot`] taken at
-//!    exactly that instant ([`EdgeSnapshot::decide_traced`] — the same
-//!    arithmetic, on the same inputs);
-//! 3. rejections take an id from the gateway's edge-id space
-//!    ([`EDGE_ID_BASE`]); admissions submit with the arrival pinned;
-//! 4. the flush releases the clock gate past the trace tail plus the
+//! 1. every scheduled arrival goes through
+//!    [`EdgeAdmitter::decide_at`] — the call the gateway's replay path
+//!    makes — and an admitted one through [`AdmitPermit::submit`];
+//! 2. the flush releases the clock gate past the trace tail plus the
 //!    scenario's drain, and anything still unresolved is flushed as a
-//!    drop — exactly what [`pard_gateway::Gateway::shutdown`] does to
-//!    its pending table.
+//!    drop — what [`pard_gateway::Gateway::shutdown`] does to its
+//!    pending table.
 //!
-//! Because every decision input is reproduced exactly, the socketless
-//! path yields the **same per-request outcome vector** as the wire
-//! path (asserted by `tests/engine_path.rs` against a golden
-//! scenario), so a sweep cell and a golden scenario measure the same
-//! thing.
+//! Admission is therefore the same code on either path, and what is
+//! left here is outcome classification. `tests/engine_path.rs` holds
+//! the two paths to the **same per-request outcome vector** (and, for
+//! the adaptive scenario, the same recorded edge decisions), so a
+//! sweep cell and a golden scenario measure the same thing.
+//!
+//! [`AdmitPermit::submit`]: pard_gateway::AdmitPermit::submit
 
 use std::collections::HashMap;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
-use pard_core::Decision;
-use pard_engine_api::{Completion, EngineHandle, SubmitSpec};
-use pard_gateway::{AdaptiveState, EdgeSnapshot, EDGE_ID_BASE};
-use pard_metrics::{DropReason, Outcome};
-use pard_obs::{FlightRecorder, ObsEvent, ObsKind};
+use pard_engine_api::{Completion, EngineHandle};
+use pard_gateway::{Admission, EdgeAdmitter};
+use pard_metrics::Outcome;
 use pard_sim::{SimDuration, SimTime};
 use pard_workload::WireEvent;
 
@@ -41,36 +38,13 @@ use crate::outcome::{OutcomeTaxonomy, RequestOutcome};
 use crate::runner::{build_schedule, build_sim_engine, ScenarioRun};
 use crate::scenario::Scenario;
 
-/// Records one edge admission decision into the engine's flight
-/// recorder — the mirror of the gateway's `record_edge_decision`, so
-/// [`crate::explain_divergence`] reads identically on either path.
-fn record_edge_decision(
-    recorder: Option<&std::sync::Arc<FlightRecorder>>,
-    now: SimTime,
-    id: u64,
-    trace: &pard_gateway::EdgeTrace,
-    reason: Option<DropReason>,
-) {
-    if let Some(recorder) = recorder {
-        recorder.record(&ObsEvent {
-            t_us: now.as_micros(),
-            req: id,
-            kind: ObsKind::EdgeDecision {
-                lead_us: trace.lead_us,
-                sub_us: trace.sub_us,
-                slack_us: trace.slack_us,
-                reason,
-            },
-        });
-    }
-}
-
 /// Replays a pre-built schedule against a pre-built **simulated**
 /// engine and classifies every request. This is the sweep engine's
 /// per-cell hot loop: the schedule is built once per (trace, seed) and
 /// shared across every cell that differs only in policy or workers,
 /// and `recorder_capacity = 0` in [`crate::runner::build_sim_engine`]
-/// skips the flight-recorder allocation entirely.
+/// skips the flight-recorder allocation entirely (the adaptive fold
+/// needs that event stream, so such a cell keeps the static floor).
 ///
 /// `trace_duration` is the rate envelope's length (the flush point is
 /// its end plus the scenario's drain, like the wire path's trailing
@@ -83,86 +57,30 @@ pub fn run_schedule_engine(
 ) -> ScenarioRun {
     let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
     engine.set_completion_sink(completion_tx);
-    let recorder = engine.telemetry();
+    let admitter = EdgeAdmitter::new(engine, scenario.adaptive, None, Arc::default());
 
-    let source = engine.spec().source();
-    let paths = pard_pipeline::graph::downstream_paths(engine.spec(), source);
-    // The adaptive fold needs the event stream; a sweep cell that
-    // disabled the recorder keeps the static floor.
-    let mut adaptive = match (&scenario.adaptive, &recorder) {
-        (Some(config), Some(_)) => Some(AdaptiveState::new(*config)),
-        _ => None,
-    };
-
-    // Replay. `pending[seq]` holds the engine-assigned id of each
-    // admitted request; edge rejections classify immediately.
-    let mut edge_seq: u64 = 0;
+    // Replay. Edge rejections classify immediately; admitted requests
+    // wait for their completion.
     let mut admitted: Vec<(u64, u64, u64)> = Vec::new(); // (seq, at_us, id)
     let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; events.len()];
     for (index, event) in events.iter().enumerate() {
-        let at = event.at;
-        engine.advance_to(at);
-        let now = engine.now();
-        let slo = scenario
-            .slo
-            .slo_for(index as u64)
-            .map(SimDuration::saturating_from_millis)
-            .unwrap_or(engine.spec().slo);
-        let deadline = now.saturating_add(slo);
-        // Mirror of the gateway's `fresh_snapshot`: fold the event
-        // stream into the estimator, adjust the pristine edge state,
-        // and stamp every floor movement back into the recorder.
-        let mut state = engine.edge_state();
-        let adjustments = match (adaptive.as_mut(), recorder.as_ref()) {
-            (Some(adaptive), Some(recorder)) => {
-                adaptive.observe_and_adjust(recorder, &mut state, source)
-            }
-            _ => Vec::new(),
-        };
-        let snapshot = EdgeSnapshot::new(state, source, &paths);
-        if !adjustments.is_empty() {
-            if let Some(recorder) = recorder.as_ref() {
-                let sub_us = snapshot.floor().sub_total().as_micros();
-                for adj in adjustments {
-                    recorder.record(&ObsEvent {
-                        t_us: now.as_micros(),
-                        req: 0,
-                        kind: ObsKind::FloorAdjust {
-                            module: adj.module,
-                            cause: adj.cause,
-                            observed_us: adj.observed_us,
-                            profiled_us: adj.profiled_us,
-                            sub_us,
-                        },
-                    });
-                }
-            }
-        }
-        let (decision, trace) = snapshot.decide_traced(now, deadline);
-        match decision {
-            Decision::Drop(reason) => {
-                let id = EDGE_ID_BASE + edge_seq;
-                edge_seq += 1;
-                record_edge_decision(recorder.as_ref(), now, id, &trace, Some(reason));
+        let seq = index as u64;
+        let at_us = event.at.as_micros();
+        match admitter.decide_at(at_us, scenario.slo.slo_for(seq)) {
+            Admission::RateLimited => unreachable!("no rate limit is configured"),
+            Admission::Rejected { id, .. } => {
                 outcomes[index] = Some(RequestOutcome {
-                    seq: index as u64,
-                    at_us: at.as_micros(),
+                    seq,
+                    at_us,
                     label: "dropped_edge",
                     id: Some(id),
                     latency_us: None,
                 });
             }
-            Decision::Admit => {
-                let id = engine.submit(SubmitSpec {
-                    slo: Some(slo),
-                    tag: 0,
-                    at: Some(at),
-                });
-                record_edge_decision(recorder.as_ref(), now, id, &trace, None);
-                admitted.push((index as u64, at.as_micros(), id));
-            }
+            Admission::Admitted(permit) => admitted.push((seq, at_us, permit.submit())),
         }
     }
+    let engine = admitter.engine();
 
     // Flush: release the clock gate past the last arrival plus the
     // drain window (the wire path's trailing `advance` control line),
@@ -219,16 +137,15 @@ pub fn run_schedule_engine(
     ScenarioRun {
         outcomes,
         taxonomy,
-        recorder,
+        recorder: admitter.recorder().cloned(),
     }
 }
 
 /// Runs `scenario` end to end **without a gateway socket**: the same
-/// schedule builder, the same engine configuration, the same admission
-/// arithmetic and outcome classification as [`crate::run_scenario`] —
+/// schedule builder, engine configuration and [`EdgeAdmitter`] as
+/// [`crate::run_scenario`], and the same outcome classification —
 /// minus the wire. Produces the identical per-request outcome vector
-/// (and therefore the identical golden taxonomy); see the module docs
-/// for the exact mirror.
+/// (and therefore the identical golden taxonomy).
 ///
 /// # Panics
 ///

@@ -24,12 +24,12 @@
 //!   autoscaling and cold-start knobs, seed, phases.
 //! * [`run_scenario`] — boots the gateway, replays the schedule,
 //!   classifies every request.
-//! * [`run_scenario_engine`] — the same schedule, admission
-//!   arithmetic, and classification **without a socket**: the replay
-//!   drives [`pard_engine_api::EngineHandle`] directly and mirrors the
-//!   gateway's scheduled-replay path step for step, producing the
-//!   identical outcome vector. This is the path `pard-sweep` fans
-//!   across cores.
+//! * [`run_scenario_engine`] — the same schedule and classification
+//!   **without a socket**: the replay calls the gateway's own
+//!   [`pard_gateway::EdgeAdmitter`] (the one admission path both
+//!   runners share) on a [`pard_engine_api::EngineHandle`] directly,
+//!   producing the identical outcome vector. This is the path
+//!   `pard-sweep` fans across cores.
 //! * [`OutcomeTaxonomy`] — per-phase counts of
 //!   `ok / violated / dropped_edge / dropped_pipeline / rejected /
 //!   unanswered`, serialised as JSON for golden snapshots.

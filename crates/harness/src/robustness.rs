@@ -29,6 +29,7 @@
 
 use pard_cluster::FaultSpec;
 use pard_gateway::AdaptiveConfig;
+use pard_obs::FlightRecorder;
 use pard_pipeline::AppKind;
 use pard_sim::{MarkovParams, SimDuration, SimTime};
 
@@ -89,17 +90,61 @@ pub fn adaptive_config() -> AdaptiveConfig {
 /// decisions and floor movements that led to the miss, not just the
 /// counts.
 pub fn dump_flight_tail(run: &ScenarioRun, max: usize) {
-    let Some(recorder) = &run.recorder else {
-        eprintln!("(no flight recorder on this run)");
-        return;
-    };
-    let (events, dropped) = recorder.read_since(0);
-    eprintln!(
-        "flight record tail ({} of {} events, {dropped} dropped):",
+    match &run.recorder {
+        Some(recorder) => eprint!("{}", render_flight_tail(recorder, max)),
+        None => eprintln!("(no flight recorder on this run)"),
+    }
+}
+
+/// The last `max` retained events, one per line, under a header that
+/// says how much of the run the ring still holds.
+fn render_flight_tail(recorder: &FlightRecorder, max: usize) -> String {
+    // `read_since` returns the ticket count it read up to, so the loss
+    // is exact even while the engine is still recording.
+    let (events, emitted) = recorder.read_since(0);
+    let mut out = format!(
+        "flight record tail ({} of {} retained events, {} overwritten):\n",
         max.min(events.len()),
-        events.len()
+        events.len(),
+        emitted - events.len() as u64,
     );
-    for event in events.iter().rev().take(max).rev() {
-        eprintln!("  {}", event.describe());
+    for event in &events[events.len().saturating_sub(max)..] {
+        out.push_str(&format!("  {}\n", event.describe()));
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pard_obs::{ObsEvent, ObsKind};
+
+    #[test]
+    fn flight_tail_reports_what_the_ring_overwrote() {
+        // 20 events through an 8-slot ring: 8 retained, 12 lost — not
+        // the read cursor (20) the header used to print as "dropped".
+        let recorder = FlightRecorder::with_capacity(8);
+        for i in 0..20 {
+            recorder.record(&ObsEvent {
+                t_us: i,
+                req: i,
+                kind: ObsKind::Completed {
+                    finished_us: i,
+                    deadline_us: i + 1,
+                },
+            });
+        }
+        let text = render_flight_tail(&recorder, 3);
+        let mut lines = text.lines();
+        assert_eq!(
+            lines.next(),
+            Some("flight record tail (3 of 8 retained events, 12 overwritten):")
+        );
+        // The tail is the newest three events, oldest first.
+        let tail: Vec<&str> = lines.collect();
+        assert_eq!(tail.len(), 3);
+        for (line, req) in tail.iter().zip(17..20u64) {
+            assert!(line.contains(&format!("req={req} ")), "{line}");
+        }
     }
 }
