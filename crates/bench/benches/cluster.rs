@@ -1,11 +1,15 @@
 //! End-to-end simulator throughput: simulated requests per wall second
-//! for a short tm run under PARD.
+//! for a short tm run under PARD, and the stepped serving wrapper's
+//! cost per scheduled arrival with a burst's worth of requests in
+//! flight.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pard_bench::{experiment_config, run_system, Workload};
+use pard_bench::{exec_estimates, experiment_config, oc_config, run_system, Workload};
+use pard_cluster::{resolve_profiles, SimServer};
 use pard_core::PardConfig;
 use pard_pipeline::AppKind;
-use pard_policies::SystemKind;
+use pard_policies::{make_factory, SystemKind};
+use pard_sim::{SimDuration, SimTime};
 use pard_workload::{constant, TraceKind};
 use std::hint::black_box;
 
@@ -29,5 +33,41 @@ fn bench_cluster(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cluster);
+/// `advance_to` + `submit` on a gated `tm` [`SimServer`] that a steady
+/// schedule holds at about 100 unresolved requests — what a replayed
+/// burst looks like from inside. Every event the advance steps through
+/// collects its terminals, so this is where a per-event cost that grows
+/// with the number in flight shows. One iteration is 1 000 arrivals:
+/// ms/iter reads as µs per arrival.
+fn bench_sim_server(c: &mut Criterion) {
+    const ARRIVALS_PER_ITER: u64 = 1_000;
+    // 8 workers a module serve ~1 600 req/s; 1 000 req/s at ~100 ms a
+    // request keeps 90–105 in flight without PARD shedding any.
+    const GAP: SimDuration = SimDuration::from_micros(1_000);
+    let spec = AppKind::Tm.pipeline();
+    let config = experiment_config(7)
+        .with_fixed_workers(vec![8; spec.modules.len()])
+        .with_pard(PardConfig::default().with_mc_draws(1_000));
+    let exec = exec_estimates(&spec, config.headroom).expect("zoo models");
+    let factory = make_factory(SystemKind::Pard, &spec, &exec, oc_config(TraceKind::Tweet));
+    let profiles = resolve_profiles(&spec).expect("zoo models");
+    let workers = config.fixed_workers.clone().expect("set above");
+    let mut server = SimServer::new(spec, profiles, factory, config, workers);
+    let mut t = SimTime::ZERO;
+    let mut group = c.benchmark_group("sim_server");
+    group.throughput(Throughput::Elements(ARRIVALS_PER_ITER));
+    group.bench_function("advance_submit_100_in_flight", |b| {
+        b.iter(|| {
+            for _ in 0..ARRIVALS_PER_ITER {
+                t += GAP;
+                black_box(server.advance_to(t));
+                black_box(server.submit(None));
+            }
+            server.unresolved()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_cluster, bench_sim_server);
 criterion_main!(benches);

@@ -114,7 +114,17 @@ pub struct ClusterWorld {
     published: Vec<ModuleState>,
     rng: DetRng,
     sync_bytes: u64,
-    priority_log: Vec<PrioritySample>,
+    /// Fig. 13 telemetry, one sample per module per sync. Only
+    /// [`RunResult`] exposes it, so only the trace-driven run installs
+    /// it: a serving world syncs for as long as the process lives and
+    /// nothing could ever read the samples.
+    priority_log: Option<Vec<PrioritySample>>,
+    /// Ids of the requests that turned terminal (dropped or completed)
+    /// since the list was last emptied, in event order. Installed only
+    /// by the serving wrapper ([`crate::SimServer`]), which empties it
+    /// after every step; trace-driven runs read outcomes from the
+    /// request table once, at the end, and keep it `None`.
+    pub(crate) terminals: Option<Vec<u64>>,
     horizon: SimTime,
     peak_workers: usize,
     /// Flight recorder for lifecycle events (stage, drop, merge,
@@ -211,7 +221,8 @@ impl ClusterWorld {
             published,
             rng: rng.fork(2),
             sync_bytes: 0,
-            priority_log: Vec::new(),
+            priority_log: None,
+            terminals: None,
             horizon,
             peak_workers: peak,
             recorder: None,
@@ -232,6 +243,9 @@ impl ClusterWorld {
         let req = self.requests.get_mut(id);
         if req.status == ReqStatus::Active {
             req.mark_dropped(module, now, reason);
+            if let Some(terminals) = &mut self.terminals {
+                terminals.push(id);
+            }
             self.modules[module].drop_meter.record(now);
             self.obs(ObsEvent {
                 t_us: now.as_micros(),
@@ -465,6 +479,9 @@ impl ClusterWorld {
             if subs.is_empty() {
                 let deadline = record.deadline;
                 record.mark_completed(now);
+                if let Some(terminals) = &mut self.terminals {
+                    terminals.push(e.req);
+                }
                 self.obs(ObsEvent {
                     t_us: now.as_micros(),
                     req: e.req,
@@ -583,16 +600,18 @@ impl ClusterWorld {
             }
             self.sync_bytes +=
                 fresh[k].encoded_size_bytes() as u64 * (n.saturating_sub(1).max(1)) as u64;
-            self.priority_log.push(PrioritySample {
-                t: now,
-                module: k,
-                load_factor,
-                epsilon,
-                mode: self.modules[k]
-                    .workers
-                    .first()
-                    .and_then(|w| w.policy.priority_mode()),
-            });
+            if let Some(log) = &mut self.priority_log {
+                log.push(PrioritySample {
+                    t: now,
+                    module: k,
+                    load_factor,
+                    epsilon,
+                    mode: self.modules[k]
+                        .workers
+                        .first()
+                        .and_then(|w| w.policy.priority_mode()),
+                });
+            }
         }
         self.published = fresh;
         let next = now + self.config.pard.sync_period;
@@ -908,7 +927,8 @@ pub fn run_with_profiles(
     let net_delay = config.net_delay;
     let faults = config.faults.clone();
     let mut arrival_rng = DetRng::new(config.seed).fork(7);
-    let world = ClusterWorld::new(spec.clone(), profiles, factory, config, workers, horizon);
+    let mut world = ClusterWorld::new(spec.clone(), profiles, factory, config, workers, horizon);
+    world.priority_log = Some(Vec::new());
     let mut sim = Simulation::new(world);
 
     for t in poisson_arrivals(trace, &mut arrival_rng) {
@@ -936,7 +956,7 @@ pub fn run_with_profiles(
     RunResult {
         log: world.requests.into_log(),
         trace_duration,
-        priority_log: world.priority_log,
+        priority_log: world.priority_log.unwrap_or_default(),
         sync_bytes: world.sync_bytes,
         peak_workers: world.peak_workers,
         unfinished: active,

@@ -56,7 +56,7 @@ use pard_sim::{SimDuration, SimTime, Simulation};
 
 use crate::config::ClusterConfig;
 use crate::engine::{ClusterWorld, Event};
-use crate::request::ReqStatus;
+use crate::request::InFlight;
 use crate::worker::WorkerState;
 
 /// A request that reached a terminal state during a pump or drain.
@@ -92,8 +92,8 @@ pub struct EdgeSnapshot {
 /// The stepped-clock serving wrapper around [`ClusterWorld`].
 pub struct SimServer {
     sim: Simulation<ClusterWorld>,
-    /// Submitted requests not yet terminal, in submit order.
-    unresolved: Vec<u64>,
+    /// Number of submitted requests not yet terminal.
+    unresolved: usize,
     /// Scheduled-replay clock gate: once set (by the first
     /// [`SimServer::advance_to`]), [`SimServer::pump`] never processes
     /// an event beyond it. `None` = ungated closed-loop serving.
@@ -127,7 +127,7 @@ impl SimServer {
         let first_sync = config.pard.first_sync();
         let scale_period = config.scale_period;
         let faults = config.faults.clone();
-        let world = ClusterWorld::new(
+        let mut world = ClusterWorld::new(
             spec,
             profiles,
             factory,
@@ -135,6 +135,10 @@ impl SimServer {
             workers_per_module,
             SimTime::MAX,
         );
+        // The world notes each request the moment it turns terminal, so
+        // a step costs its own terminals, not a scan of everything in
+        // flight (see `collect_terminals`).
+        world.terminals = Some(Vec::new());
         let mut sim = Simulation::new(world);
         sim.schedule(first_sync, Event::Sync);
         sim.schedule(SimTime::ZERO + scale_period, Event::Scale);
@@ -147,7 +151,7 @@ impl SimServer {
         crate::engine::schedule_faults(&mut sim, &faults);
         SimServer {
             sim,
-            unresolved: Vec::new(),
+            unresolved: 0,
             gate: None,
         }
     }
@@ -164,7 +168,7 @@ impl SimServer {
 
     /// Number of submitted requests not yet terminal.
     pub fn unresolved(&self) -> usize {
-        self.unresolved.len()
+        self.unresolved
     }
 
     /// Installs a flight recorder: from now on every lifecycle event
@@ -202,7 +206,7 @@ impl SimServer {
                 req: id,
             },
         );
-        self.unresolved.push(id);
+        self.unresolved += 1;
         id
     }
 
@@ -216,7 +220,7 @@ impl SimServer {
         let mut out = Vec::new();
         let mut processed = 0;
         for _ in 0..max_events {
-            if self.unresolved.is_empty() {
+            if self.unresolved == 0 {
                 break;
             }
             if let (Some(gate), Some(next)) = (self.gate, self.sim.peek_time()) {
@@ -272,7 +276,7 @@ impl SimServer {
             self.gate = Some(gate.max(deadline));
         }
         let mut out = Vec::new();
-        while !self.unresolved.is_empty() {
+        while self.unresolved > 0 {
             match self.sim.peek_time() {
                 Some(t) if t <= deadline => {
                     self.sim.step();
@@ -315,26 +319,35 @@ impl SimServer {
     /// Takes the accumulated request log, leaving the server empty (a
     /// subsequent take returns an empty log).
     pub fn take_log(&mut self) -> RequestLog {
-        self.unresolved.clear();
+        self.unresolved = 0;
         std::mem::take(&mut self.sim.world_mut().requests).into_log()
     }
 
+    /// Moves the terminals of the step that just ran into `out`, in
+    /// ascending id (= submit order, whatever order the event handler
+    /// reached them in).
     fn collect_terminals(&mut self, out: &mut Vec<TerminalEvent>) {
-        let world = self.sim.world();
-        self.unresolved.retain(|&id| {
-            let r = world.requests.get(id);
-            if r.status == ReqStatus::Active {
-                true
-            } else {
-                out.push(TerminalEvent {
-                    id,
-                    sent: r.sent,
-                    deadline: r.deadline,
-                    outcome: r.outcome,
-                });
-                false
-            }
-        });
+        let world = self.sim.world_mut();
+        let terminals = world.terminals.as_mut().expect("installed at construction");
+        if terminals.is_empty() {
+            return;
+        }
+        terminals.sort_unstable();
+        self.unresolved -= terminals.len();
+        out.extend(
+            terminals
+                .drain(..)
+                .map(|id| terminal_event(world.requests.get(id))),
+        );
+    }
+}
+
+fn terminal_event(r: &InFlight) -> TerminalEvent {
+    TerminalEvent {
+        id: r.id,
+        sent: r.sent,
+        deadline: r.deadline,
+        outcome: r.outcome,
     }
 }
 
@@ -343,9 +356,14 @@ mod tests {
     use super::*;
     use pard_core::{PardPolicy, PardPolicyConfig};
     use pard_pipeline::AppKind;
+    use proptest::prelude::*;
 
     fn server(seed: u64) -> SimServer {
-        let spec = AppKind::Tm.pipeline();
+        server_for(AppKind::Tm, seed)
+    }
+
+    fn server_for(app: AppKind, seed: u64) -> SimServer {
+        let spec = app.pipeline();
         let profiles = crate::engine::resolve_profiles(&spec).expect("builtin models in zoo");
         let config = ClusterConfig::default()
             .with_seed(seed)
@@ -496,5 +514,175 @@ mod tests {
         let after = s.advance_to(SimTime::from_secs(5));
         let b = after.iter().find(|t| t.id == b).expect("resolves");
         assert!(matches!(b.outcome, Outcome::Dropped { .. }), "{b:?}");
+    }
+
+    /// The scan `collect_terminals` replaced, kept as the reference: a
+    /// twin server stepped through its internals, with every in-flight
+    /// id checked against the request table after every event.
+    struct RetainScan {
+        twin: SimServer,
+        in_flight: Vec<u64>,
+    }
+
+    impl RetainScan {
+        fn scan(&mut self, out: &mut Vec<TerminalEvent>) {
+            let world = self.twin.sim.world();
+            self.in_flight.retain(|&id| {
+                let r = world.requests.get(id);
+                if r.status == crate::request::ReqStatus::Active {
+                    return true;
+                }
+                out.push(terminal_event(r));
+                false
+            });
+        }
+
+        fn submit(&mut self, slo: Option<SimDuration>) {
+            let id = self.twin.submit(slo);
+            self.in_flight.push(id);
+        }
+
+        fn pump(&mut self, max_events: usize) -> Vec<TerminalEvent> {
+            let mut out = Vec::new();
+            for _ in 0..max_events {
+                if self.in_flight.is_empty() {
+                    break;
+                }
+                if let (Some(gate), Some(next)) = (self.twin.gate, self.twin.sim.peek_time()) {
+                    if next > gate {
+                        break;
+                    }
+                }
+                if !self.twin.sim.step() {
+                    break;
+                }
+                self.scan(&mut out);
+                if !out.is_empty() {
+                    break;
+                }
+            }
+            out
+        }
+
+        fn advance_to(&mut self, t: SimTime) -> Vec<TerminalEvent> {
+            let mut out = Vec::new();
+            self.twin.gate = Some(self.twin.gate.map_or(t, |g| g.max(t)));
+            while self.twin.sim.peek_time().is_some_and(|next| next <= t) {
+                self.twin.sim.step();
+                self.scan(&mut out);
+            }
+            self.twin.sim.advance_now_to(t);
+            out
+        }
+
+        fn drain(&mut self, limit: SimDuration) -> Vec<TerminalEvent> {
+            let deadline = self.twin.sim.now().saturating_add(limit);
+            if let Some(gate) = self.twin.gate {
+                self.twin.gate = Some(gate.max(deadline));
+            }
+            let mut out = Vec::new();
+            while !self.in_flight.is_empty()
+                && self.twin.sim.peek_time().is_some_and(|t| t <= deadline)
+            {
+                self.twin.sim.step();
+                self.scan(&mut out);
+            }
+            out
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// A burst of submits at the current instant (what makes one
+        /// batch, and so one step, resolve several requests).
+        Submit {
+            count: usize,
+            tight: bool,
+        },
+        AdvanceBy {
+            us: u64,
+        },
+        Pump {
+            max_events: usize,
+        },
+        Drain {
+            ms: u64,
+        },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            // (The shim has no tuple strategies: one draw carries both.)
+            4 => (2usize..48).prop_map(|n| Op::Submit { count: n / 2, tight: n % 2 == 1 }),
+            3 => (0u64..60_000).prop_map(|us| Op::AdvanceBy { us }),
+            2 => (1usize..64).prop_map(|max_events| Op::Pump { max_events }),
+            1 => (1u64..300).prop_map(|ms| Op::Drain { ms }),
+        ]
+    }
+
+    /// Runs `ops` on a served world and on the retain-scan twin; the two
+    /// must report the same terminals in the same order from every call.
+    fn check_against_retain_scan(app: AppKind, seed: u64, ops: &[Op]) -> Result<(), TestCaseError> {
+        let mut s = server_for(app, seed);
+        let mut reference = RetainScan {
+            twin: server_for(app, seed),
+            in_flight: Vec::new(),
+        };
+        let (mut submitted, mut resolved) = (0usize, 0usize);
+        for &op in ops {
+            let (got, want) = match op {
+                Op::Submit { count, tight } => {
+                    let slo = tight.then(|| SimDuration::from_millis(40));
+                    for _ in 0..count {
+                        s.submit(slo);
+                        reference.submit(slo);
+                    }
+                    submitted += count;
+                    (Vec::new(), Vec::new())
+                }
+                Op::AdvanceBy { us } => {
+                    let t = s.now() + SimDuration::from_micros(us);
+                    (s.advance_to(t), reference.advance_to(t))
+                }
+                Op::Pump { max_events } => (s.pump(max_events).1, reference.pump(max_events)),
+                Op::Drain { ms } => {
+                    let limit = SimDuration::from_millis(ms);
+                    (s.drain(limit), reference.drain(limit))
+                }
+            };
+            let key = |t: &TerminalEvent| (t.id, t.sent, t.deadline, t.outcome);
+            let got: Vec<_> = got.iter().map(key).collect();
+            let want: Vec<_> = want.iter().map(key).collect();
+            prop_assert!(got == want, "{op:?}: {got:?} != retain scan {want:?}");
+            if let Op::Pump { .. } = op {
+                // A pump stops at the first step that resolves anything,
+                // so its terminals are one step's: ascending by id.
+                prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", got);
+            }
+            resolved += got.len();
+            prop_assert_eq!(s.unresolved(), submitted - resolved);
+            prop_assert_eq!(s.now(), reference.twin.now());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn terminals_match_the_retain_scan_on_tm(
+            seed in 0u64..1_000,
+            ops in proptest::collection::vec(op_strategy(), 1..120),
+        ) {
+            check_against_retain_scan(AppKind::Tm, seed, &ops)?;
+        }
+
+        #[test]
+        fn terminals_match_the_retain_scan_on_da(
+            seed in 0u64..1_000,
+            ops in proptest::collection::vec(op_strategy(), 1..120),
+        ) {
+            check_against_retain_scan(AppKind::Da, seed, &ops)?;
+        }
     }
 }

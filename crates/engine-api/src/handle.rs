@@ -75,13 +75,25 @@ pub trait EngineHandle: Send + Sync {
 
     /// Registers the channel that receives a [`Completion`] the moment
     /// any request resolves. Replaces a previously registered sink.
+    ///
+    /// Who sends, and when, follows [`EngineHandle::stepped`], and a
+    /// front-end may build on it. A stepped engine sends only from
+    /// inside a driving call ([`EngineHandle::submit`],
+    /// [`EngineHandle::pump`], [`EngineHandle::advance_to`],
+    /// [`EngineHandle::drain`]), on the caller's thread, before the
+    /// call returns: the caller can empty the channel right after the
+    /// call, and no thread has to wait on it. A self-driving engine
+    /// sends from threads of its own whenever work resolves, so its
+    /// receiver needs a thread blocked on it.
     fn set_completion_sink(&self, sink: Sender<Completion>);
 
     /// Whether this engine's virtual time only advances when driven
     /// ([`EngineHandle::pump`] / [`EngineHandle::advance_to`]). Live
     /// engines are self-driving and return `false`; front-ends use
     /// this to tell "stalled because nothing drives the clock past the
-    /// gate" from "still working" during drains.
+    /// gate" from "still working" during drains, and to decide who
+    /// reads the completion sink (see
+    /// [`EngineHandle::set_completion_sink`]).
     fn stepped(&self) -> bool {
         false
     }

@@ -21,12 +21,35 @@
 //! [`crate::netpoll::Poller`] over its slice of nonblocking sockets,
 //! so one process holds tens of thousands of connections without tens
 //! of thousands of stacks. Cross-thread work (new connections from the
-//! acceptor, replies from the dispatchers) arrives on a per-shard
+//! acceptor, replies routed by another thread) arrives on a per-shard
 //! inbox whose self-pipe waker interrupts a sleeping poll; a
 //! `sleeping` flag keeps the wake syscall off the path while the shard
-//! is busy. Each shard processes a bounded number of lines per
-//! connection per tick, so one pipelining flood cannot starve the
-//! polite connections sharing its shard.
+//! is busy. Each shard serves a connection at most once per tick, a
+//! bounded number of lines, and stops reading one that holds a read
+//! budget of unserved lines, so one pipelining flood cannot starve the
+//! polite connections sharing its shard or grow its buffer without
+//! bound.
+//!
+//! # Who answers a completion
+//!
+//! Engines report terminal states on a channel
+//! ([`EngineHandle::set_completion_sink`]); one function,
+//! `route_completions`, turns each into a reply (pending-table lookup,
+//! classification, the connection's reply sink). Who calls it depends
+//! on the engine kind, decided once when the threads start:
+//!
+//! * A **stepped** engine (the simulator) sends only from inside a
+//!   driving call, on the caller's thread. So the driver empties the
+//!   channel itself, right after the call: a shard thread after a
+//!   request's admission and submit, after an `advance_us` line and
+//!   after a replay-group drain; the app's pump thread after `pump()`;
+//!   the shutdown drain after its pumps; the watchdog before it flushes
+//!   a dead app. There is no dispatcher thread to wake, so a replayed
+//!   request costs no thread hop at all.
+//! * A **live** engine completes work on its own threads at times of
+//!   its own, so one dispatcher thread per live app blocks on the
+//!   channel and calls the same function. Live apps have no pump
+//!   thread: nothing drives them.
 //!
 //! # The hot path
 //!
@@ -53,6 +76,11 @@
 //! * **Submits wake the pump.** Stepped engines are driven the moment
 //!   work arrives instead of on the pump thread's next idle tick,
 //!   which is what bounds closed-loop RTT on the sim backend.
+//!
+//! Threads, all named: `pard-shard-<i>`, one `pard-pump-<app>` per
+//! stepped app, one `pard-dispatch-<app>` per live app, `pard-poller`
+//! (snapshot refresh and pump watchdog), `pard-accept`, `pard-frames`
+//! (telemetry sampler) and `pard-metrics` (the HTTP listener).
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -297,8 +325,12 @@ impl ShardInbox {
 }
 
 /// Where replies for one connection go: its shard's inbox, addressed
-/// by connection token. Cloneable and thread-safe, so dispatchers and
-/// replay drains reply from any thread.
+/// by connection token. Cloneable and thread-safe, because whoever
+/// routes a completion replies through it ([`route_completions`]): for
+/// a stepped engine the thread that just drove it — any shard, the
+/// pump, the shutdown drain — and for a live engine its dispatcher
+/// thread. A shard replying to one of its own connections pushes into
+/// its own inbox, which it is awake to apply within the same tick.
 ///
 /// `outstanding` counts responses the connection is still owed (filed
 /// pending entries plus parked replay requests); a connection whose
@@ -425,10 +457,18 @@ struct AppState {
     counters: Arc<ServingCounters>,
     module_drops: Arc<ModuleDropCounters>,
     pump_signal: PumpSignal,
-    /// Cached [`EngineHandle::stepped`]: live engines never need the
-    /// pump, so per-request submit paths must not touch the pump
-    /// signal for them at all.
+    /// Cached [`EngineHandle::stepped`]: decides at start-up whether
+    /// the app gets a pump thread or a dispatcher thread, and keeps the
+    /// per-request submit path off the pump signal for live engines.
     stepped: bool,
+    /// The receiving end of the engine's completion sink. A stepped
+    /// engine sends only from inside a driving call, on the caller's
+    /// thread, so whoever just drove it empties the channel right there
+    /// ([`AppState::route_ready`]) — waking another thread to do it
+    /// would buy nothing. A live engine completes work on threads of
+    /// its own at times of its own: its dispatcher thread takes the
+    /// receiver at start-up and blocks on it, leaving `None` here.
+    completions: Mutex<Option<Receiver<Completion>>>,
     /// The `/events` stream's frame bus: the sampler publishes, SSE
     /// subscribers wait. Laggy subscribers skip to the latest frame
     /// and can never block the sampler.
@@ -453,6 +493,30 @@ impl AppState {
     fn is_healthy(&self) -> bool {
         self.healthy.load(Ordering::Acquire)
     }
+
+    /// Routes whatever the driving call that just returned (`submit`,
+    /// `advance_to`, `pump`) left in a stepped engine's completion
+    /// channel. The lock makes the drain atomic against another
+    /// driver's: a thread that finds it taken waits, then finds its
+    /// own completions already routed or routes them itself, so none
+    /// strands. Does nothing for a live app, whose dispatcher thread
+    /// owns the receiver.
+    fn route_ready(&self, core: &Core) {
+        if let Some(completions) = self.completions.lock().as_ref() {
+            route_completions(core, self, completions.try_iter());
+        }
+    }
+}
+
+/// Moves every stepped clock to `to_us` (an honoured `advance_us`
+/// line; live engines ignore it) and answers what resolved on the way:
+/// a replay's trailing advances have no later request to carry their
+/// replies.
+fn advance_all(core: &Core, to_us: u64) {
+    for app in &core.apps {
+        app.engine().advance_to(SimTime::from_micros(to_us));
+        app.route_ready(core);
+    }
 }
 
 /// Trips the engine watchdog for one app: stop admitting to it, and
@@ -463,6 +527,9 @@ impl AppState {
 /// Idempotent; other apps are untouched.
 fn mark_app_unhealthy(core: &Core, app: &AppState, why: &str) {
     if app.healthy.swap(false, Ordering::AcqRel) {
+        // What the engine resolved before it died is a real outcome,
+        // and nobody will drive this engine again to route it later.
+        app.route_ready(core);
         let app_index = app.index as u64;
         for (_key, entry) in core
             .pending
@@ -486,7 +553,7 @@ struct Core {
     apps: Vec<Arc<AppState>>,
     by_name: HashMap<String, usize>,
     /// The shared pending table; tenant index == app index.
-    pending: Arc<PendingMap<PendingEntry, Completion>>,
+    pending: PendingMap<PendingEntry, Completion>,
     allow_replay: bool,
     /// Stops admitting (requests answered `shutting_down`).
     shutdown: AtomicBool,
@@ -508,8 +575,14 @@ struct Core {
 struct ConnState {
     stream: TcpStream,
     fd: RawFd,
-    /// Unparsed request bytes (partial lines across reads).
+    /// Request bytes as read; everything before `rpos` is served (a
+    /// cursor, so serving a slice of lines does not move the rest).
     rbuf: Vec<u8>,
+    rpos: usize,
+    /// In the shard's service queue: for this tick, or (left with
+    /// complete lines after its slice) for the next. Keeps a connection
+    /// from being queued, and so served, twice in one tick.
+    queued: bool,
     /// Encoded response bytes not yet written; `out_pos` marks how far
     /// the kernel has taken them.
     out: Vec<u8>,
@@ -540,6 +613,11 @@ impl ConnState {
     fn flushed(&self) -> bool {
         self.out_pos >= self.out.len()
     }
+
+    /// Request bytes read and not yet served.
+    fn unread(&self) -> &[u8] {
+        &self.rbuf[self.rpos..]
+    }
 }
 
 fn shard_loop(core: Arc<Core>, inbox: Arc<ShardInbox>) {
@@ -559,6 +637,9 @@ fn shard_loop(core: Arc<Core>, inbox: Arc<ShardInbox>) {
     // budget; served another slice next iteration (with a zero poll
     // timeout, so a flood never adds latency for its shard-mates).
     let mut backlog: Vec<u64> = Vec::new();
+    // This tick's service queue: last tick's backlog, then the
+    // connections that turned readable.
+    let mut serving: Vec<u64> = Vec::new();
     let mut scratch = String::with_capacity(256);
     loop {
         if core.stop_io.load(Ordering::SeqCst) {
@@ -596,7 +677,7 @@ fn shard_loop(core: Arc<Core>, inbox: Arc<ShardInbox>) {
             let _ = poller.wait(&mut events, Some(0));
         }
 
-        // Cross-thread work: new connections, dispatcher replies.
+        // Cross-thread work: new connections, replies routed elsewhere.
         inbox.take(&mut msgs);
         for msg in msgs.drain(..) {
             apply_msg(
@@ -609,16 +690,7 @@ fn shard_loop(core: Arc<Core>, inbox: Arc<ShardInbox>) {
             );
         }
 
-        // Backlogged connections get their next slice of lines.
-        if !backlog.is_empty() {
-            let tokens = std::mem::take(&mut backlog);
-            for token in tokens {
-                if let Some(conn) = conns.get_mut(&token) {
-                    shard_process_lines(&core, &mut snapshots, conn, &mut backlog);
-                }
-            }
-        }
-
+        std::mem::swap(&mut serving, &mut backlog);
         for event in &events {
             if event.token == WAKER_TOKEN {
                 inbox.waker.drain();
@@ -629,10 +701,24 @@ fn shard_loop(core: Arc<Core>, inbox: Arc<ShardInbox>) {
             };
             if event.is_readable() {
                 shard_read(conn, core.chaos.as_ref());
-                shard_process_lines(&core, &mut snapshots, conn, &mut backlog);
+                if !conn.queued {
+                    conn.queued = true;
+                    serving.push(event.token);
+                }
             }
             if event.is_writable() {
                 shard_flush(conn, &poller, core.chaos.as_ref());
+            }
+        }
+        // One slice of lines per queued connection per tick, however it
+        // got queued.
+        for token in serving.drain(..) {
+            let Some(conn) = conns.get_mut(&token) else {
+                continue;
+            };
+            conn.queued = shard_process_lines(&core, &mut snapshots, conn);
+            if conn.queued {
+                backlog.push(token);
             }
         }
 
@@ -702,6 +788,8 @@ fn apply_msg(
                     stream,
                     fd,
                     rbuf: Vec::new(),
+                    rpos: 0,
+                    queued: false,
                     out: Vec::new(),
                     out_pos: 0,
                     want_write: false,
@@ -760,6 +848,14 @@ fn shard_read(conn: &mut ConnState, chaos: Option<&ChaosConfig>) {
     if conn.write_failed {
         return;
     }
+    // A connection still queued from the last tick has complete lines
+    // waiting; with a whole read budget of them unserved, more bytes
+    // would only move the client's backlog from the socket (where TCP
+    // pushes back) into this buffer. A partial line is never `queued`,
+    // so a line longer than the budget still assembles.
+    if conn.queued && conn.unread().len() >= READ_BUDGET {
+        return;
+    }
     if let Some(every) = chaos.and_then(|c| c.read_stall_every) {
         // Injected read stall: skip this readiness tick entirely. The
         // level-triggered poller re-delivers the readiness, so the
@@ -800,38 +896,37 @@ fn shard_read(conn: &mut ConnState, chaos: Option<&ChaosConfig>) {
 /// Serves up to [`LINES_PER_TICK`] complete lines from the read
 /// buffer, enforcing [`MAX_LINE_BYTES`] on complete lines, on
 /// newline-free buffered tails, and serving an unterminated final line
-/// at EOF (the old reader-thread semantics, exactly).
+/// at EOF (the old reader-thread semantics, exactly). Returns whether
+/// complete lines are left for the next tick.
 fn shard_process_lines(
     core: &Core,
     snapshots: &mut [SnapshotReader],
     conn: &mut ConnState,
-    backlog: &mut Vec<u64>,
-) {
+) -> bool {
     if conn.write_failed || conn.discard_deadline.is_some() {
-        return;
+        return false;
     }
-    let mut consumed = 0usize;
     let mut served = 0usize;
     let mut oversize = false;
     while served < LINES_PER_TICK {
-        let Some(offset) = conn.rbuf[consumed..].iter().position(|&b| b == b'\n') else {
+        let Some(offset) = conn.unread().iter().position(|&b| b == b'\n') else {
             break;
         };
         if offset + 1 > MAX_LINE_BYTES {
             oversize = true;
             break;
         }
-        let line_end = consumed + offset;
+        let line_end = conn.rpos + offset;
         let mut handled = false;
         {
-            let text = String::from_utf8_lossy(&conn.rbuf[consumed..line_end]);
+            let text = String::from_utf8_lossy(&conn.rbuf[conn.rpos..line_end]);
             let trimmed = text.trim();
             if !trimmed.is_empty() {
                 handle_line(core, snapshots, &conn.sink, &mut conn.replay_party, trimmed);
                 handled = true;
             }
         }
-        consumed = line_end + 1;
+        conn.rpos = line_end + 1;
         served += 1;
         if handled {
             if let Some(every) = core.chaos.as_ref().and_then(|c| c.reset_every) {
@@ -849,28 +944,37 @@ fn shard_process_lines(
             }
         }
     }
-    if consumed > 0 {
-        conn.rbuf.drain(..consumed);
+    // Compact: free when everything is served, and otherwise only once
+    // the served prefix outweighs what a move has to carry.
+    if conn.rpos == conn.rbuf.len() {
+        conn.rbuf.clear();
+        conn.rpos = 0;
+    } else if conn.rpos > conn.rbuf.len() / 2 {
+        conn.rbuf.drain(..conn.rpos);
+        conn.rpos = 0;
     }
     if oversize {
         oversized_line(core, conn);
-        return;
+        return false;
     }
-    if conn.rbuf.contains(&b'\n') {
-        backlog.push(conn.sink.token);
-    } else if conn.rbuf.len() > MAX_LINE_BYTES {
+    if conn.unread().contains(&b'\n') {
+        return true;
+    }
+    if conn.unread().len() > MAX_LINE_BYTES {
         // A newline-free stream past the line budget: same answer as an
         // oversized complete line, without buffering without bound.
         oversized_line(core, conn);
-    } else if conn.read_closed && !conn.rbuf.is_empty() {
+    } else if conn.read_closed && !conn.unread().is_empty() {
         // EOF with an unterminated final line: serve it trimmed.
         let rbuf = std::mem::take(&mut conn.rbuf);
-        let text = String::from_utf8_lossy(&rbuf);
+        let start = std::mem::take(&mut conn.rpos);
+        let text = String::from_utf8_lossy(&rbuf[start..]);
         let trimmed = text.trim();
         if !trimmed.is_empty() {
             handle_line(core, snapshots, &conn.sink, &mut conn.replay_party, trimmed);
         }
     }
+    false
 }
 
 fn oversized_line(core: &Core, conn: &mut ConnState) {
@@ -889,6 +993,7 @@ fn oversized_line(core: &Core, conn: &mut ConnState) {
     // clean FIN, not an RST that could clobber the error response.
     conn.discard_deadline = Some(Instant::now() + Duration::from_millis(250));
     conn.rbuf = Vec::new();
+    conn.rpos = 0;
 }
 
 /// Writes as much of `out` as the socket takes, tracking `WRITABLE`
@@ -955,7 +1060,7 @@ fn should_close(conn: &ConnState, now: Instant) -> bool {
     // answered and written.
     conn.read_closed
         && conn.flushed()
-        && conn.rbuf.is_empty()
+        && conn.unread().is_empty()
         && conn.sink.outstanding.load(Ordering::SeqCst) <= 0
 }
 
@@ -1014,11 +1119,7 @@ fn handle_line(
                     coordinator.park(party, to_us, u64::MAX, ParkedAction::Advance { to_us });
                     replay_drain_ready(&mut coordinator, core);
                 }
-                None => {
-                    for app in &core.apps {
-                        app.engine().advance_to(SimTime::from_micros(to_us));
-                    }
-                }
+                None => advance_all(core, to_us),
             }
             return;
         }
@@ -1188,6 +1289,7 @@ fn handle_line(
                 .admitter
                 .decide_now(&mut snapshots[app_index], request.slo_ms);
             finish_admission(core, app, sink, &request, admission, false);
+            app.route_ready(core);
         }
     }
 }
@@ -1221,11 +1323,17 @@ fn serve_scheduled(
     }
     let admission = app.admitter.decide_at(at_us, request.slo_ms);
     finish_admission(core, app, sink, request, admission, settles);
+    // Whatever the verdict, `decide_at` moved the clock to the arrival:
+    // earlier requests resolved on the way, on this thread.
+    app.route_ready(core);
 }
 
 /// The transport half of admission: count the verdict, answer what the
 /// edge already resolved, and for an admitted request reserve its
-/// pending slot *before* the permit submits it.
+/// pending slot *before* the permit submits it. Completions are not
+/// routed here: the caller does that once the verdict is answered
+/// ([`AppState::route_ready`]), because on a stepped engine the
+/// admission call itself may have produced some.
 fn finish_admission(
     core: &Core,
     app: &AppState,
@@ -1286,7 +1394,7 @@ fn finish_admission(
                 app.pump_signal.notify();
             }
             if !settles {
-                // The dispatcher's eventual reply settles this owed
+                // The routed completion's reply settles this owed
                 // response; parked requests were counted at park time.
                 sink.outstanding.fetch_add(1, Ordering::SeqCst);
             }
@@ -1313,8 +1421,9 @@ fn finish_admission(
 }
 
 /// Classifies one completion into its wire reply, bumping the serving
-/// counters — shared by the dispatcher (completion found its entry) and
-/// the shard thread (completion raced the insert and was parked).
+/// counters — shared by [`route_completions`] (completion found its
+/// entry) and the admitting shard thread (completion raced the insert
+/// and was parked).
 fn completion_reply(
     completion: &Completion,
     seq: Option<u64>,
@@ -1346,20 +1455,19 @@ fn completion_reply(
     }
 }
 
-fn dispatcher_loop(
-    completions: Receiver<Completion>,
-    app_index: usize,
-    pending: Arc<PendingMap<PendingEntry, Completion>>,
-    app: Arc<AppState>,
-) {
-    // Ends when the engine (the only sender) shuts down.
-    while let Ok(completion) = completions.recv() {
+/// The one place a completion becomes a reply: look up who is owed it,
+/// classify it, answer. A stepped app passes what its channel holds
+/// after a driving call ([`AppState::route_ready`]); a live app's
+/// dispatcher thread passes the blocking iterator, which ends when the
+/// engine (the only sender) shuts down.
+fn route_completions(core: &Core, app: &AppState, completions: impl Iterator<Item = Completion>) {
+    for completion in completions {
         // An entry means the submit already filed it; otherwise the
         // completion is parked in the shard and the inserting thread
         // claims it (see `crate::pending`). A completion for a request
         // flushed during shutdown parks harmlessly.
-        let key = pending_key(app_index, completion.id);
-        let Some(entry) = pending.take_or_stash(key, completion) else {
+        let key = pending_key(app.index, completion.id);
+        let Some(entry) = core.pending.take_or_stash(key, completion) else {
             continue;
         };
         let response = completion_reply(
@@ -1371,6 +1479,14 @@ fn dispatcher_loop(
         );
         entry.sink.reply(response, true);
     }
+}
+
+/// Every gateway thread carries a name (`pard-shard-<i>`,
+/// `pard-pump-<app>`, `pard-dispatch-<app>`, `pard-poller`,
+/// `pard-accept`, `pard-frames`, `pard-metrics`), so a profile, a
+/// panic message or `/proc/<pid>/task/*/comm` says which is which.
+fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(f)
 }
 
 fn accept_loop(listener: TcpListener, core: Arc<Core>, inboxes: Vec<Arc<ShardInbox>>) {
@@ -1444,15 +1560,13 @@ impl Gateway {
                 .map(|a| config.max_pending * a.weight.max(1) / (2 * total))
                 .collect()
         };
-        let pending: Arc<PendingMap<PendingEntry, Completion>> =
-            Arc::new(PendingMap::with_tenants(config.max_pending, guaranteed));
+        let pending = PendingMap::with_tenants(config.max_pending, guaranteed);
 
         // Edge ids are drawn from one counter so they stay unique
         // gateway-wide.
         let edge_ids = Arc::new(AtomicU64::new(0));
         let mut states = Vec::with_capacity(apps.len());
         let mut by_name = HashMap::new();
-        let mut completion_rxs = Vec::new();
         for (index, app) in apps.into_iter().enumerate() {
             let AppConfig {
                 engine,
@@ -1461,7 +1575,6 @@ impl Gateway {
             } = app;
             let (completion_tx, completion_rx) = mpsc::channel();
             engine.set_completion_sink(completion_tx);
-            completion_rxs.push(completion_rx);
             let name = engine.spec().name.clone();
             if by_name.insert(name.clone(), index).is_some() {
                 return Err(io::Error::new(
@@ -1478,6 +1591,7 @@ impl Gateway {
                 module_drops: Arc::new(ModuleDropCounters::new(engine.spec().modules.len())),
                 pump_signal: PumpSignal::new(),
                 stepped: engine.stepped(),
+                completions: Mutex::new(Some(completion_rx)),
                 frames: Arc::new(FrameBus::new()),
                 rtt: Arc::new(RttWindow::new(DEFAULT_RTT_SAMPLES)),
                 healthy: AtomicBool::new(true),
@@ -1494,7 +1608,7 @@ impl Gateway {
         let core = Arc::new(Core {
             apps: states,
             by_name,
-            pending: Arc::clone(&pending),
+            pending,
             allow_replay: config.allow_replay,
             shutdown: AtomicBool::new(false),
             stop_io: AtomicBool::new(false),
@@ -1506,28 +1620,18 @@ impl Gateway {
         // Shard event loops: the connection fabric.
         let mut inboxes = Vec::new();
         let mut shard_threads = Vec::new();
-        for _ in 0..config.shards.max(1) {
+        for shard in 0..config.shards.max(1) {
             let inbox = Arc::new(ShardInbox::new()?);
             let core = Arc::clone(&core);
             let thread_inbox = Arc::clone(&inbox);
-            shard_threads.push(std::thread::spawn(move || shard_loop(core, thread_inbox)));
+            shard_threads.push(spawn_named(format!("pard-shard-{shard}"), move || {
+                shard_loop(core, thread_inbox)
+            })?);
             inboxes.push(inbox);
         }
 
-        // Dispatchers: engine completions → shard inboxes, one per app.
-        // They hold only the pending map and the app state, so they
-        // outlive the shard threads and keep routing completions while
-        // shutdown drains the engines.
-        let mut dispatchers = Vec::new();
-        for (index, completion_rx) in completion_rxs.into_iter().enumerate() {
-            let app = Arc::clone(&core.apps[index]);
-            let pending = Arc::clone(&pending);
-            dispatchers.push(std::thread::spawn(move || {
-                dispatcher_loop(completion_rx, index, pending, app)
-            }));
-        }
-
         let mut service_threads = Vec::new();
+        let mut dispatchers = Vec::new();
 
         // Edge-state poller: publishes every app's admission snapshot.
         // Doubles as the pump watchdog's monitor — it already wakes
@@ -1538,7 +1642,7 @@ impl Gateway {
             let core = Arc::clone(&core);
             let refresh = config.edge_refresh;
             let pump_stall = config.pump_stall;
-            service_threads.push(std::thread::spawn(move || {
+            service_threads.push(spawn_named("pard-poller".into(), move || {
                 while !core.shutdown.load(Ordering::SeqCst) {
                     for app in &core.apps {
                         if !app.is_healthy() {
@@ -1558,13 +1662,19 @@ impl Gateway {
                     }
                     std::thread::sleep(refresh);
                 }
-            }));
+            })?);
         }
 
-        // One pump per app: advances engines with a stepped virtual
-        // clock (the simulator). Self-driving engines return false and
-        // the thread idles on the signal; submits notify it so work is
-        // picked up at wake latency, not on the next timeout tick.
+        // One engine-facing thread per app, chosen here once by what the
+        // engine is. A stepped engine (the simulator) gets a pump: its
+        // clock only moves when driven, submits notify the pump so work
+        // is picked up at wake latency, not on the next timeout tick,
+        // and the pump answers what its own `pump()` resolved. A live
+        // engine resolves work on threads of its own at times of its
+        // own, so it gets a dispatcher that blocks on the completion
+        // channel; it needs only the core's pending table and its app,
+        // so it outlives the shards and ends when `drain` drops the
+        // engine's sender.
         //
         // The pump is the one gateway thread that runs arbitrary engine
         // code in a loop, so it carries the watchdog instrumentation: a
@@ -1574,48 +1684,48 @@ impl Gateway {
         for app in &core.apps {
             let app = Arc::clone(app);
             let core = Arc::clone(&core);
-            service_threads.push(std::thread::spawn(move || {
+            if !app.stepped {
+                let completions = app.completions.lock().take().expect("taken once, here");
+                dispatchers.push(spawn_named(
+                    format!("pard-dispatch-{}", app.name),
+                    move || route_completions(&core, &app, completions.iter()),
+                )?);
+                continue;
+            }
+            service_threads.push(spawn_named(format!("pard-pump-{}", app.name), move || {
                 while !core.shutdown.load(Ordering::SeqCst) {
                     if !app.is_healthy() {
                         return;
                     }
                     let observed = app.pump_signal.arm();
-                    if app.stepped {
-                        let now_ms = core.epoch.elapsed().as_millis() as u64;
-                        app.pump_entered_ms.store(now_ms, Ordering::Release);
-                        let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            app.engine().pump()
-                        }));
-                        app.pump_entered_ms.store(u64::MAX, Ordering::Release);
-                        match pumped {
-                            Ok(true) => {
-                                app.pump_signal.disarm();
-                                continue;
-                            }
-                            Ok(false) => {}
-                            Err(_) => {
-                                mark_app_unhealthy(&core, &app, "engine pump panicked");
-                                return;
-                            }
-                        }
-                    }
-                    let idle = if app.stepped {
-                        Duration::from_millis(1)
-                    } else {
-                        Duration::from_millis(200)
+                    let now_ms = core.epoch.elapsed().as_millis() as u64;
+                    app.pump_entered_ms.store(now_ms, Ordering::Release);
+                    let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        app.engine().pump()
+                    }));
+                    app.pump_entered_ms.store(u64::MAX, Ordering::Release);
+                    let Ok(progressed) = pumped else {
+                        mark_app_unhealthy(&core, &app, "engine pump panicked");
+                        return;
                     };
-                    app.pump_signal.wait_after(observed, idle);
+                    if progressed {
+                        app.route_ready(&core);
+                        app.pump_signal.disarm();
+                    } else {
+                        app.pump_signal
+                            .wait_after(observed, Duration::from_millis(1));
+                    }
                 }
-            }));
+            })?);
         }
 
         // Accept loop.
         {
             let core = Arc::clone(&core);
             let inboxes = inboxes.clone();
-            service_threads.push(std::thread::spawn(move || {
+            service_threads.push(spawn_named("pard-accept".into(), move || {
                 accept_loop(listener, core, inboxes);
-            }));
+            })?);
         }
 
         // Telemetry sampler: periodically folds each app's serving
@@ -1624,7 +1734,7 @@ impl Gateway {
         {
             let core = Arc::clone(&core);
             let period = config.telemetry_period;
-            service_threads.push(std::thread::spawn(move || {
+            service_threads.push(spawn_named("pard-frames".into(), move || {
                 let mut seq = 0u64;
                 let mut prev: Vec<_> = core.apps.iter().map(|a| a.counters.snapshot()).collect();
                 loop {
@@ -1639,15 +1749,15 @@ impl Gateway {
                     }
                     std::thread::sleep(period);
                 }
-            }));
+            })?);
         }
 
         // Metrics endpoint.
         {
             let core = Arc::clone(&core);
-            service_threads.push(std::thread::spawn(move || {
+            service_threads.push(spawn_named("pard-metrics".into(), move || {
                 metrics_loop(metrics_listener, core);
-            }));
+            })?);
         }
 
         Ok(Gateway {
@@ -1729,7 +1839,10 @@ impl Gateway {
     }
 
     /// Shuts every app down and returns their request logs in
-    /// registration order.
+    /// registration order. The calling thread becomes the driver of
+    /// every stepped engine for the drain window, so it is also the one
+    /// that routes their completions; live engines keep their
+    /// dispatcher threads until their `drain` returns.
     pub fn shutdown_multi(self, drain_virtual: SimDuration) -> Vec<RequestLog> {
         let Gateway {
             core,
@@ -1754,11 +1867,13 @@ impl Gateway {
         // admissions race the flush below, then give the pipelines a
         // bounded window to resolve what is in flight. Stepped engines
         // no longer have their pump threads, so this loop pumps them
-        // directly — and gives up once no engine progresses (when a
-        // replay client vanished without its trailing advance, the
-        // clock gate is unreachable and waiting longer cannot resolve
-        // anything). Live engines resolve work on their own threads, so
-        // only the 30 s ceiling applies to them.
+        // directly, answers what each pump resolved while the shards
+        // are still there to write it — and gives up once no engine
+        // progresses (when a replay client vanished without its
+        // trailing advance, the clock gate is unreachable and waiting
+        // longer cannot resolve anything). Live engines resolve work on
+        // their own threads and their dispatchers answer it, so only
+        // the 30 s ceiling applies to them.
         std::thread::sleep(Duration::from_millis(150));
         let all_stepped = core.apps.iter().all(|a| a.stepped);
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -1770,6 +1885,7 @@ impl Gateway {
             let mut progressed = false;
             for app in &core.apps {
                 if app.is_healthy() && app.engine().pump() {
+                    app.route_ready(&core);
                     progressed = true;
                 }
             }
@@ -1817,7 +1933,9 @@ impl Gateway {
             let _ = handle.join();
         }
         // Draining stops each engine and drops its completion sender,
-        // which is what lets its dispatcher exit.
+        // which is what lets a live engine's dispatcher exit. What a
+        // drain still resolves goes to the log only: the flush above
+        // already answered those requests.
         let logs: Vec<RequestLog> = core
             .apps
             .iter()

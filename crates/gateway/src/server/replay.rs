@@ -5,9 +5,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use pard_sim::SimTime;
-
-use super::{serve_scheduled, Core, ReplySink};
+use super::{advance_all, serve_scheduled, Core, ReplySink};
 use crate::wire::Request;
 
 /// Orders scheduled requests from `K` cooperating replay connections.
@@ -152,7 +150,10 @@ impl ReplayCoordinator {
 
 /// Drains every parked action that is safely ordered: requests
 /// strictly below the minimum watermark, clock advances at or below
-/// it. Call with the coordinator lock held.
+/// it. Each action routes the completions it resolved before the next
+/// one runs ([`serve_scheduled`], [`advance_all`]), so nothing is left
+/// in a channel when the drain returns. Call with the coordinator lock
+/// held.
 pub(super) fn replay_drain_ready(coordinator: &mut ReplayCoordinator, core: &Core) {
     if !coordinator.complete() {
         return;
@@ -171,11 +172,7 @@ pub(super) fn replay_drain_ready(coordinator: &mut ReplayCoordinator, core: &Cor
         }
         let parked = coordinator.heap.pop().expect("peeked").0;
         match parked.action {
-            ParkedAction::Advance { to_us } => {
-                for app in &core.apps {
-                    app.engine().advance_to(SimTime::from_micros(to_us));
-                }
-            }
+            ParkedAction::Advance { to_us } => advance_all(core, to_us),
             ParkedAction::Request { app, sink, request } => {
                 let at = request.at_us.expect("parked requests are scheduled");
                 serve_scheduled(core, &core.apps[app], &sink, &request, at, true);

@@ -84,6 +84,10 @@ enum PumpFailure {
     /// `pump` blocks for this long once a request has been submitted —
     /// long enough that the poller's stall check must fire first.
     Stall(Duration),
+    /// Once two requests are submitted, `pump` completes the first
+    /// (sends its completion, as a stepped engine does, from inside the
+    /// call) and then panics with the second still in flight.
+    ResolveFirstThenPanic,
 }
 
 struct BrokenPumpEngine {
@@ -141,10 +145,29 @@ impl EngineHandle for BrokenPumpEngine {
     }
 
     fn pump(&self) -> bool {
-        if self.submitted.load(Ordering::SeqCst) == 0 {
+        let submitted = self.submitted.load(Ordering::SeqCst);
+        if submitted == 0 {
             return false;
         }
         match self.failure {
+            PumpFailure::ResolveFirstThenPanic if submitted < 2 => false,
+            PumpFailure::ResolveFirstThenPanic => {
+                std::thread::sleep(Duration::from_millis(50));
+                let completion = Completion {
+                    id: 1,
+                    tag: 0,
+                    sent: SimTime::ZERO,
+                    deadline: SimTime::from_millis(400),
+                    outcome: pard_metrics::Outcome::Completed {
+                        finished: SimTime::from_millis(100),
+                    },
+                };
+                let sink = self.sink.lock().unwrap().clone();
+                sink.expect("the gateway registered a sink")
+                    .send(completion)
+                    .expect("the gateway holds the receiver");
+                panic!("stub engine pump poisoned on purpose");
+            }
             PumpFailure::Panic => {
                 std::thread::sleep(Duration::from_millis(50));
                 panic!("stub engine pump poisoned on purpose");
@@ -157,7 +180,7 @@ impl EngineHandle for BrokenPumpEngine {
     }
 
     fn drain(&self, _limit: SimDuration) -> RequestLog {
-        // Dropping the sink lets the gateway's dispatcher thread exit.
+        // A drained engine drops its sink, as the real ones do.
         self.sink.lock().unwrap().take();
         RequestLog::new()
     }
@@ -223,6 +246,34 @@ fn pump_panic_flushes_in_flight_and_quarantines_the_app() {
         "live app must export healthy=1:\n{metrics}"
     );
 
+    let _ = gateway.shutdown(SimDuration::from_secs(10));
+}
+
+#[test]
+fn watchdog_flush_answers_what_the_dying_pump_resolved() {
+    // A stepped engine's completions are routed by whoever drove it,
+    // and a pump that panicked will never drive it again: the watchdog
+    // must look in the channel before it flushes, or a request that
+    // really completed is answered `shutting_down`.
+    let gateway = Gateway::start(
+        BrokenPumpEngine::boxed("tm", PumpFailure::ResolveFirstThenPanic),
+        gateway_config(),
+    )
+    .expect("gateway starts");
+    let mut client = Client::connect(gateway.addr()).expect("client connects");
+    let first = client.send(&CallSpec::new("tm")).expect("send");
+    let second = client.send(&CallSpec::new("tm")).expect("send");
+    let answer = client
+        .wait(first, Duration::from_secs(10))
+        .expect("the resolved request is answered");
+    assert!(answer.outcome.is_ok(), "{answer:?}");
+    let answer = client
+        .wait(second, Duration::from_secs(10))
+        .expect("the in-flight request is answered");
+    assert_shutting_down(&answer.outcome);
+    let counters = gateway.counters();
+    assert_eq!((counters.completed_ok, counters.dropped), (1, 1));
+    drop(client);
     let _ = gateway.shutdown(SimDuration::from_secs(10));
 }
 
