@@ -1,7 +1,7 @@
 //! End-to-end simulator throughput: simulated requests per wall second
 //! for a short tm run under PARD, and the stepped serving wrapper's
 //! cost per scheduled arrival with a burst's worth of requests in
-//! flight.
+//! flight — on a fresh server and on one two million requests old.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pard_bench::{exec_estimates, experiment_config, oc_config, run_system, Workload};
@@ -39,32 +39,50 @@ fn bench_cluster(c: &mut Criterion) {
 /// collects its terminals, so this is where a per-event cost that grows
 /// with the number in flight shows. One iteration is 1 000 arrivals:
 /// ms/iter reads as µs per arrival.
+///
+/// Measured twice: on a fresh server, and on one that has already
+/// answered two million requests. The server retires what it has
+/// answered, so the two must read the same; a server that kept every
+/// request would be slower the second time (a table of 2 M records no
+/// longer fits any cache).
 fn bench_sim_server(c: &mut Criterion) {
     const ARRIVALS_PER_ITER: u64 = 1_000;
+    const SERVED_BEFORE: u64 = 2_000_000;
     // 8 workers a module serve ~1 600 req/s; 1 000 req/s at ~100 ms a
     // request keeps 90–105 in flight without PARD shedding any.
     const GAP: SimDuration = SimDuration::from_micros(1_000);
-    let spec = AppKind::Tm.pipeline();
-    let config = experiment_config(7)
-        .with_fixed_workers(vec![8; spec.modules.len()])
-        .with_pard(PardConfig::default().with_mc_draws(1_000));
-    let exec = exec_estimates(&spec, config.headroom).expect("zoo models");
-    let factory = make_factory(SystemKind::Pard, &spec, &exec, oc_config(TraceKind::Tweet));
-    let profiles = resolve_profiles(&spec).expect("zoo models");
-    let workers = config.fixed_workers.clone().expect("set above");
-    let mut server = SimServer::new(spec, profiles, factory, config, workers);
-    let mut t = SimTime::ZERO;
+    let new_server = || {
+        let spec = AppKind::Tm.pipeline();
+        let config = experiment_config(7)
+            .with_fixed_workers(vec![8; spec.modules.len()])
+            .with_pard(PardConfig::default().with_mc_draws(1_000));
+        let exec = exec_estimates(&spec, config.headroom).expect("zoo models");
+        let factory = make_factory(SystemKind::Pard, &spec, &exec, oc_config(TraceKind::Tweet));
+        let profiles = resolve_profiles(&spec).expect("zoo models");
+        let workers = config.fixed_workers.clone().expect("set above");
+        (
+            SimServer::new(spec, profiles, factory, config, workers),
+            SimTime::ZERO,
+        )
+    };
+    let arrivals = |(server, t): &mut (SimServer, SimTime), count: u64| {
+        for _ in 0..count {
+            *t += GAP;
+            black_box(server.advance_to(*t));
+            black_box(server.submit(None));
+        }
+        server.unresolved()
+    };
     let mut group = c.benchmark_group("sim_server");
     group.throughput(Throughput::Elements(ARRIVALS_PER_ITER));
+    let mut fresh = new_server();
     group.bench_function("advance_submit_100_in_flight", |b| {
-        b.iter(|| {
-            for _ in 0..ARRIVALS_PER_ITER {
-                t += GAP;
-                black_box(server.advance_to(t));
-                black_box(server.submit(None));
-            }
-            server.unresolved()
-        })
+        b.iter(|| arrivals(&mut fresh, ARRIVALS_PER_ITER))
+    });
+    let mut seasoned = new_server();
+    arrivals(&mut seasoned, SERVED_BEFORE);
+    group.bench_function("advance_submit_after_2m_served", |b| {
+        b.iter(|| arrivals(&mut seasoned, ARRIVALS_PER_ITER))
     });
     group.finish();
 }

@@ -110,6 +110,9 @@ pub struct ClusterWorld {
     pub(crate) config: ClusterConfig,
     factory: PolicyFactory,
     pub(crate) modules: Vec<ModuleRuntime>,
+    /// Every request of a trace-driven run; the in-flight span of a
+    /// served one, whose wrapper retires what it has reported. Nothing
+    /// in this file can tell: a retired id reads as "not active".
     pub(crate) requests: RequestTable,
     published: Vec<ModuleState>,
     rng: DetRng,
@@ -238,24 +241,27 @@ impl ClusterWorld {
         }
     }
 
-    /// Marks a request dropped (first drop wins) and meters it.
+    /// Marks a request dropped (first drop wins) and meters it. A
+    /// request that already resolved — a policy surfacing the cancelled
+    /// copy of a DAG sibling, possibly long after the serving wrapper
+    /// retired the id — is left alone.
     fn record_drop(&mut self, id: u64, module: usize, now: SimTime, reason: DropReason) {
-        let req = self.requests.get_mut(id);
-        if req.status == ReqStatus::Active {
-            req.mark_dropped(module, now, reason);
-            if let Some(terminals) = &mut self.terminals {
-                terminals.push(id);
-            }
-            self.modules[module].drop_meter.record(now);
-            self.obs(ObsEvent {
-                t_us: now.as_micros(),
-                req: id,
-                kind: ObsKind::Dropped {
-                    module: module as u16,
-                    reason,
-                },
-            });
+        let Some(req) = self.requests.active_mut(id) else {
+            return;
+        };
+        req.mark_dropped(module, now, reason);
+        if let Some(terminals) = &mut self.terminals {
+            terminals.push(id);
         }
+        self.modules[module].drop_meter.record(now);
+        self.obs(ObsEvent {
+            t_us: now.as_micros(),
+            req: id,
+            kind: ObsKind::Dropped {
+                module: module as u16,
+                reason,
+            },
+        });
     }
 
     /// Least-loaded dispatchable worker of `module`.
@@ -288,6 +294,31 @@ impl ClusterWorld {
             return;
         }
         self.service(module, widx, now, queue);
+    }
+
+    /// Routes the entries of a forming batch its worker will not run
+    /// (scale-down, crash) to the module's other workers. An entry
+    /// whose request is no longer active — dropped on a sibling branch
+    /// after it was batched, retired since — vanishes here.
+    fn redispatch_forming(
+        &mut self,
+        module: usize,
+        forming: Vec<BatchEntry>,
+        now: SimTime,
+        queue: &mut EventQueue<Event>,
+    ) {
+        for entry in forming {
+            let Some(record) = self.requests.active(entry.req) else {
+                continue;
+            };
+            let meta = ReqMeta {
+                id: entry.req,
+                sent: record.sent,
+                deadline: record.deadline,
+                arrived: entry.arrived,
+            };
+            self.dispatch(module, meta, now, queue);
+        }
     }
 
     /// The batching loop: fill the forming batch from the queue (making
@@ -323,7 +354,7 @@ impl ClusterWorld {
                         PopOutcome::Admit(meta) => {
                             // A DAG sibling may have been dropped already;
                             // cancelled copies vanish without executing.
-                            if self.requests.get(meta.id).status != ReqStatus::Active {
+                            if self.requests.active(meta.id).is_none() {
                                 continue;
                             }
                             q_samples.push(now.saturating_since(meta.arrived).as_millis_f64());
@@ -389,10 +420,9 @@ impl ClusterWorld {
         now: SimTime,
         queue: &mut EventQueue<Event>,
     ) {
-        let record = self.requests.get(req);
-        if record.status != ReqStatus::Active {
+        let Some(record) = self.requests.active_mut(req) else {
             return; // a DAG sibling was dropped
-        }
+        };
         let (sent, deadline) = (record.sent, record.deadline);
         let required = if self.config.dynamic_paths {
             1
@@ -400,7 +430,7 @@ impl ClusterWorld {
             self.modules[module].pres_count
         };
         if required > 1 {
-            if !self.requests.get_mut(req).deliver(module, required) {
+            if !record.deliver(module, required) {
                 return; // waiting for the other branch(es)
             }
             self.obs(ObsEvent {
@@ -470,11 +500,14 @@ impl ClusterWorld {
                     exec_end_us: now.as_micros(),
                 },
             });
-            let record = self.requests.get_mut(e.req);
+            // Dropped elsewhere while executing: the stage still goes
+            // on the record if there is one, and nothing is forwarded.
+            let Some(record) = self.requests.get_mut(e.req) else {
+                continue;
+            };
             record.stages.push(stage);
-            record.completed_modules[m] = true;
             if record.status != ReqStatus::Active {
-                continue; // dropped elsewhere while executing
+                continue;
             }
             if subs.is_empty() {
                 let deadline = record.deadline;
@@ -721,26 +754,14 @@ impl ClusterWorld {
                     let worker = &mut self.modules[k].workers[widx];
                     worker.state = WorkerState::Draining;
                     let drained = worker.policy.drain_queue();
-                    let forming: Vec<BatchEntry> = std::mem::take(&mut worker.forming);
+                    let forming = std::mem::take(&mut worker.forming);
                     worker.batch_opened = false;
                     (drained, forming, worker.idle())
                 };
                 for meta in drained {
                     self.dispatch(k, meta, now, queue);
                 }
-                for entry in forming {
-                    let record = self.requests.get(entry.req);
-                    if record.status != ReqStatus::Active {
-                        continue;
-                    }
-                    let meta = ReqMeta {
-                        id: entry.req,
-                        sent: record.sent,
-                        deadline: record.deadline,
-                        arrived: entry.arrived,
-                    };
-                    self.dispatch(k, meta, now, queue);
-                }
+                self.redispatch_forming(k, forming, now, queue);
                 if idle {
                     self.modules[k].workers[widx].state = WorkerState::Down;
                 }
@@ -772,19 +793,7 @@ impl ClusterWorld {
                     self.record_drop(e.req, module, now, DropReason::WorkerFailed);
                 }
                 // Queued and forming requests are re-dispatched.
-                for entry in forming {
-                    let record = self.requests.get(entry.req);
-                    if record.status != ReqStatus::Active {
-                        continue;
-                    }
-                    let meta = ReqMeta {
-                        id: entry.req,
-                        sent: record.sent,
-                        deadline: record.deadline,
-                        arrived: entry.arrived,
-                    };
-                    self.dispatch(module, meta, now, queue);
-                }
+                self.redispatch_forming(module, forming, now, queue);
                 for meta in drained {
                     self.dispatch(module, meta, now, queue);
                 }

@@ -1,4 +1,38 @@
-//! In-flight request tracking, including DAG split/merge bookkeeping.
+//! The requests in flight, including DAG split/merge bookkeeping.
+//!
+//! Ids are dense and sequential — the table mints `0, 1, 2, …` and never
+//! reuses one — but the table only *holds* the ids that can still
+//! matter: a window `[base, base + resident)` over that sequence, from
+//! the oldest id that has not been retired upward.
+//!
+//! * A trace-driven run ([`crate::run_with_profiles`]) never retires
+//!   anything: `base` stays 0, the window is the whole run, and
+//!   [`RequestTable::into_log`] is the full
+//!   [`RequestLog`](pard_metrics::RequestLog) every figure is computed
+//!   from.
+//! * The serving wrapper ([`crate::SimServer`]) retires (the
+//!   crate-private `retire_resolved`) once a step's terminals have been
+//!   reported: the front of the window is popped while it is terminal,
+//!   so the table's footprint is the in-flight span, not the number of
+//!   requests ever served. A popped record goes on a free list and the
+//!   next [`RequestTable::insert`] reuses it with its `Vec`s' capacity,
+//!   so a steady state allocates nothing per request.
+//!
+//! **Retired means not active.** The event queue, a policy's queue or a
+//! worker's executing batch may still name an id after it was retired —
+//! the lazily cancelled copy of a DAG request whose sibling branch was
+//! dropped, a stage that was executing when the drop happened. Each of
+//! them already has to cope with "that request is no longer active";
+//! a lookup below `base` gives exactly that answer
+//! ([`RequestTable::active`] is `None`), so no call site tells the two
+//! apart.
+//!
+//! The window only moves past ids that are terminal: one request that
+//! never resolves pins it (everything submitted after it stays
+//! resident — no worse than the log the table used to be), and the
+//! first retirement after it resolves releases the whole backlog.
+
+use std::collections::VecDeque;
 
 use pard_metrics::{DropReason, Outcome, RequestRecord, StageRecord};
 use pard_pipeline::PipelineSpec;
@@ -35,8 +69,6 @@ pub struct InFlight {
     /// module only enqueues once all predecessors delivered (`usize`,
     /// so any validatable fan-in fits without wrapping).
     pub merge_arrivals: Vec<usize>,
-    /// Modules whose execution completed (guards double-forwarding).
-    pub completed_modules: Vec<bool>,
 }
 
 impl InFlight {
@@ -50,7 +82,22 @@ impl InFlight {
             status: ReqStatus::Active,
             outcome: Outcome::InFlight,
             merge_arrivals: vec![0; modules],
-            completed_modules: vec![false; modules],
+        }
+    }
+
+    /// Turns a retired record into a fresh request, keeping the
+    /// capacity of its `Vec`s.
+    fn reuse(mut self, id: u64, sent: SimTime, deadline: SimTime, modules: usize) -> InFlight {
+        self.stages.clear();
+        self.merge_arrivals.clear();
+        self.merge_arrivals.resize(modules, 0);
+        InFlight {
+            id,
+            sent,
+            deadline,
+            status: ReqStatus::Active,
+            outcome: Outcome::InFlight,
+            ..self
         }
     }
 
@@ -89,10 +136,15 @@ impl InFlight {
     }
 }
 
-/// Table of all requests, alive and finished.
+/// Table of the requests that have not been retired: a window over
+/// the dense id sequence (see the module doc).
 #[derive(Debug, Default)]
 pub struct RequestTable {
-    slots: Vec<InFlight>,
+    /// Id of the window's first record; every id below it is retired.
+    base: u64,
+    window: VecDeque<InFlight>,
+    /// Retired records, kept for the capacity of their `Vec`s.
+    free: Vec<InFlight>,
 }
 
 impl RequestTable {
@@ -103,41 +155,87 @@ impl RequestTable {
 
     /// Registers a new request and returns its id.
     pub fn insert(&mut self, sent: SimTime, deadline: SimTime, spec: &PipelineSpec) -> u64 {
-        let id = self.slots.len() as u64;
-        self.slots
-            .push(InFlight::new(id, sent, deadline, spec.modules.len()));
+        let id = self.len() as u64;
+        let modules = spec.modules.len();
+        self.window.push_back(match self.free.pop() {
+            Some(retired) => retired.reuse(id, sent, deadline, modules),
+            None => InFlight::new(id, sent, deadline, modules),
+        });
         id
     }
 
-    /// Shared access by id.
+    /// The record of `id`, or `None` once it is retired.
     ///
     /// # Panics
     ///
-    /// Panics on unknown id — ids are only minted by
+    /// Panics on an id that was never minted — ids only come from
     /// [`RequestTable::insert`].
-    pub fn get(&self, id: u64) -> &InFlight {
-        &self.slots[id as usize]
+    pub fn get(&self, id: u64) -> Option<&InFlight> {
+        let slot = id.checked_sub(self.base)?;
+        Some(&self.window[slot as usize])
     }
 
-    /// Exclusive access by id.
-    pub fn get_mut(&mut self, id: u64) -> &mut InFlight {
-        &mut self.slots[id as usize]
+    /// Exclusive access to the record of `id`, or `None` once it is
+    /// retired. Panics like [`RequestTable::get`].
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut InFlight> {
+        let slot = id.checked_sub(self.base)?;
+        Some(&mut self.window[slot as usize])
     }
 
-    /// Total requests ever inserted.
+    /// The record of `id` while the request is still travelling: `None`
+    /// once it is dropped, completed or retired — the one question the
+    /// engine asks before it spends anything on a request.
+    pub fn active(&self, id: u64) -> Option<&InFlight> {
+        self.get(id).filter(|r| r.status == ReqStatus::Active)
+    }
+
+    /// [`RequestTable::active`] with exclusive access.
+    pub fn active_mut(&mut self, id: u64) -> Option<&mut InFlight> {
+        self.get_mut(id).filter(|r| r.status == ReqStatus::Active)
+    }
+
+    /// Retires the front of the window while it is terminal, showing
+    /// each record to `retired` on its way out. Stops at the oldest
+    /// request that is still active, however many behind it resolved.
+    /// Crate-private: only the serving wrapper retires, and only after
+    /// it has reported the terminals (see [`crate::SimServer`]).
+    pub(crate) fn retire_resolved(&mut self, mut retired: impl FnMut(&InFlight)) {
+        while let Some(front) = self.window.front() {
+            if front.status == ReqStatus::Active {
+                break;
+            }
+            retired(front);
+            self.free.extend(self.window.pop_front());
+            self.base += 1;
+        }
+    }
+
+    /// Total requests ever inserted (the next id).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.base as usize + self.window.len()
     }
 
-    /// Whether the table is empty.
+    /// Whether no request was ever inserted.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
-    /// Counts by status: `(active, dropped, completed)`.
+    /// Records currently held: the span from the oldest id that is not
+    /// retired to the newest.
+    pub fn resident(&self) -> usize {
+        self.window.len()
+    }
+
+    /// The records currently held, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &InFlight> {
+        self.window.iter()
+    }
+
+    /// Counts by status over the resident records:
+    /// `(active, dropped, completed)`.
     pub fn status_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        for r in &self.slots {
+        for r in &self.window {
             match r.status {
                 ReqStatus::Active => counts.0 += 1,
                 ReqStatus::Dropped => counts.1 += 1,
@@ -147,10 +245,12 @@ impl RequestTable {
         counts
     }
 
-    /// Drains everything into a metrics log.
+    /// Drains the resident records into a metrics log — the whole run
+    /// for a table that never retired, which is the only kind the
+    /// figures are computed from.
     pub fn into_log(self) -> pard_metrics::RequestLog {
         let mut log = pard_metrics::RequestLog::new();
-        for r in self.slots {
+        for r in self.window {
             log.push(r.into_record());
         }
         log
@@ -163,13 +263,23 @@ mod tests {
     use pard_pipeline::AppKind;
     use pard_sim::SimDuration;
 
+    fn insert(table: &mut RequestTable, spec: &PipelineSpec) -> u64 {
+        table.insert(SimTime::ZERO, SimTime::from_millis(400), spec)
+    }
+
+    fn complete(table: &mut RequestTable, id: u64) {
+        let record = table.get_mut(id).expect("resident");
+        record.mark_completed(SimTime::from_millis(300));
+    }
+
     #[test]
     fn insert_and_lookup() {
         let spec = AppKind::Tm.pipeline();
         let mut table = RequestTable::new();
-        let id = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
+        let id = insert(&mut table, &spec);
         assert_eq!(id, 0);
-        assert_eq!(table.get(id).status, ReqStatus::Active);
+        assert_eq!(table.get(id).unwrap().status, ReqStatus::Active);
+        assert!(table.active(id).is_some());
         assert_eq!(table.len(), 1);
     }
 
@@ -178,13 +288,16 @@ mod tests {
         let spec = AppKind::Da.pipeline();
         let mut table = RequestTable::new();
         let id = table.insert(SimTime::ZERO, SimTime::from_millis(420), &spec);
-        table
-            .get_mut(id)
-            .mark_dropped(1, SimTime::from_millis(50), DropReason::PredictedViolation);
+        table.active_mut(id).unwrap().mark_dropped(
+            1,
+            SimTime::from_millis(50),
+            DropReason::PredictedViolation,
+        );
         // A later completion attempt must not overwrite the drop.
-        table.get_mut(id).mark_completed(SimTime::from_millis(60));
-        assert_eq!(table.get(id).status, ReqStatus::Dropped);
-        match table.get(id).outcome {
+        assert!(table.active_mut(id).is_none(), "dropped is not active");
+        complete(&mut table, id);
+        assert_eq!(table.get(id).unwrap().status, ReqStatus::Dropped);
+        match table.get(id).unwrap().outcome {
             Outcome::Dropped { module, .. } => assert_eq!(module, 1),
             ref o => panic!("unexpected outcome {o:?}"),
         }
@@ -196,21 +309,23 @@ mod tests {
         let mut table = RequestTable::new();
         let id = table.insert(SimTime::ZERO, SimTime::from_millis(420), &spec);
         // Module 3 merges branches from modules 1 and 2.
-        assert!(!table.get_mut(id).deliver(3, 2));
-        assert!(table.get_mut(id).deliver(3, 2));
+        assert!(!table.get_mut(id).unwrap().deliver(3, 2));
+        assert!(table.get_mut(id).unwrap().deliver(3, 2));
     }
 
     #[test]
     fn status_counts_and_log_conversion() {
         let spec = AppKind::Tm.pipeline();
         let mut table = RequestTable::new();
-        let a = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
-        let b = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
-        let _c = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
-        table.get_mut(a).mark_completed(SimTime::from_millis(300));
-        table
-            .get_mut(b)
-            .mark_dropped(0, SimTime::from_millis(10), DropReason::PredictedViolation);
+        let a = insert(&mut table, &spec);
+        let b = insert(&mut table, &spec);
+        let _c = insert(&mut table, &spec);
+        complete(&mut table, a);
+        table.get_mut(b).unwrap().mark_dropped(
+            0,
+            SimTime::from_millis(10),
+            DropReason::PredictedViolation,
+        );
         assert_eq!(table.status_counts(), (1, 1, 1));
         let log = table.into_log();
         assert_eq!(log.len(), 3);
@@ -222,9 +337,9 @@ mod tests {
     fn stage_accumulation() {
         let spec = AppKind::Tm.pipeline();
         let mut table = RequestTable::new();
-        let id = table.insert(SimTime::ZERO, SimTime::from_millis(400), &spec);
+        let id = insert(&mut table, &spec);
         let t0 = SimTime::from_millis(10);
-        table.get_mut(id).stages.push(StageRecord {
+        table.get_mut(id).unwrap().stages.push(StageRecord {
             module: 0,
             worker: 0,
             arrived: t0,
@@ -234,6 +349,56 @@ mod tests {
             batch_size: 8,
             gpu_share: SimDuration::from_millis(5),
         });
-        assert_eq!(table.get(id).stages.len(), 1);
+        assert_eq!(table.get(id).unwrap().stages.len(), 1);
+    }
+
+    #[test]
+    fn retirement_pops_the_terminal_front_and_keeps_ids_dense() {
+        let spec = AppKind::Tm.pipeline();
+        let mut table = RequestTable::new();
+        for _ in 0..4 {
+            insert(&mut table, &spec);
+        }
+        // 0 and 1 resolve, 2 is still travelling, 3 resolved behind it.
+        for id in [0, 1, 3] {
+            complete(&mut table, id);
+        }
+        let mut seen = Vec::new();
+        table.retire_resolved(|r| seen.push(r.id));
+        assert_eq!(seen, [0, 1], "stops at the oldest active request");
+        assert_eq!((table.len(), table.resident()), (4, 2));
+        // A retired id answers like any request that is not active.
+        assert!(table.get(1).is_none() && table.active(1).is_none());
+        assert!(table.active(2).is_some());
+        assert!(table.get(3).is_some() && table.active(3).is_none());
+        // The next id follows the last one, retired or not.
+        assert_eq!(insert(&mut table, &spec), 4);
+        // Once the pin resolves, the backlog behind it goes at once.
+        complete(&mut table, 2);
+        seen.clear();
+        table.retire_resolved(|r| seen.push(r.id));
+        assert_eq!(seen, [2, 3]);
+        assert_eq!((table.len(), table.resident()), (5, 1));
+    }
+
+    #[test]
+    fn a_reused_record_is_a_fresh_request() {
+        let da = AppKind::Da.pipeline();
+        let mut table = RequestTable::new();
+        let id = table.insert(SimTime::ZERO, SimTime::from_millis(420), &da);
+        let record = table.get_mut(id).unwrap();
+        assert!(!record.deliver(3, 2));
+        record.mark_dropped(1, SimTime::from_millis(5), DropReason::AlreadyExpired);
+        table.retire_resolved(|_| {});
+        assert_eq!(table.resident(), 0);
+        let sent = SimTime::from_millis(7);
+        let next = table.insert(sent, SimTime::from_millis(900), &da);
+        let record = table.get(next).unwrap();
+        assert_eq!((record.id, record.sent), (1, sent));
+        assert_eq!(record.deadline, SimTime::from_millis(900));
+        assert_eq!(record.status, ReqStatus::Active);
+        assert_eq!(record.outcome, Outcome::InFlight);
+        assert!(record.stages.is_empty());
+        assert_eq!(record.merge_arrivals, vec![0; da.modules.len()]);
     }
 }

@@ -47,9 +47,39 @@
 //! non-decreasing schedule order (one driver, sorted schedule);
 //! [`SimServer::drain`] releases the gate to its deadline so the tail
 //! resolves.
+//!
+//! # What the server remembers
+//!
+//! Only the in-flight span. A trace-driven run keeps every request
+//! because its [`RequestLog`](pard_metrics::RequestLog) *is* the
+//! result; a server has already told its caller each outcome (the
+//! [`TerminalEvent`]), so once a step's terminals are emitted it
+//! retires the front of the [`crate::RequestTable`] while that front is
+//! terminal, folding each retired request into three running counts
+//! ([`SimServer::totals`]). What stays resident is the id range from
+//! the oldest unresolved request to the newest ([`SimServer::resident`])
+//! — hundreds of records under load, none when idle — and a retired
+//! record is reused for the next submit, so a server that has answered
+//! a hundred million requests is as large, and as fast, as a fresh one.
+//!
+//! * Ids stay dense and sequential: [`SimServer::submit`] returns
+//!   `0, 1, 2, …` for the life of the server, retired or not.
+//! * Retired means not active. Things inside the world may still name
+//!   a retired id — a `ModuleArrival` queued for the other branch of a
+//!   DAG request that was dropped, that branch's copy in a policy queue
+//!   (which the policy may pop, or decide to `Drop`, much later), a
+//!   stage that was executing when the drop happened. All of them were
+//!   already ignored for a request that is no longer active, and a
+//!   retired id answers the same way, so the event timeline and the
+//!   flight-record stream are those of a world that never retires.
+//!   Nothing outside the world can ask: an id leaves only in a
+//!   [`TerminalEvent`], and is retired after that event was handed out.
+//! * One request that never resolves pins the window behind it —
+//!   everything submitted later stays resident, as everything did
+//!   before — and the first step that resolves it releases the backlog.
 
 use pard_core::PolicyFactory;
-use pard_metrics::{Outcome, RequestLog};
+use pard_metrics::{Outcome, ServedTotals};
 use pard_pipeline::PipelineSpec;
 use pard_profile::ModelProfile;
 use pard_sim::{SimDuration, SimTime, Simulation};
@@ -94,6 +124,9 @@ pub struct SimServer {
     sim: Simulation<ClusterWorld>,
     /// Number of submitted requests not yet terminal.
     unresolved: usize,
+    /// The requests already retired from the table, counted on their
+    /// way out.
+    retired: ServedTotals,
     /// Scheduled-replay clock gate: once set (by the first
     /// [`SimServer::advance_to`]), [`SimServer::pump`] never processes
     /// an event beyond it. `None` = ungated closed-loop serving.
@@ -152,6 +185,7 @@ impl SimServer {
         SimServer {
             sim,
             unresolved: 0,
+            retired: ServedTotals::default(),
             gate: None,
         }
     }
@@ -169,6 +203,23 @@ impl SimServer {
     /// Number of submitted requests not yet terminal.
     pub fn unresolved(&self) -> usize {
         self.unresolved
+    }
+
+    /// Records the request table still holds: the id span from the
+    /// oldest unresolved request to the newest submit.
+    pub fn resident(&self) -> usize {
+        self.sim.world().requests.resident()
+    }
+
+    /// Every request submitted so far, counted the way a full
+    /// [`RequestLog`](pard_metrics::RequestLog) would count it: the
+    /// retired ones as they left, the resident ones now.
+    pub fn totals(&self) -> ServedTotals {
+        let mut totals = self.retired;
+        for r in self.sim.world().requests.iter() {
+            totals.count(r.deadline, r.outcome);
+        }
+        totals
     }
 
     /// Installs a flight recorder: from now on every lifecycle event
@@ -316,16 +367,11 @@ impl SimServer {
         }
     }
 
-    /// Takes the accumulated request log, leaving the server empty (a
-    /// subsequent take returns an empty log).
-    pub fn take_log(&mut self) -> RequestLog {
-        self.unresolved = 0;
-        std::mem::take(&mut self.sim.world_mut().requests).into_log()
-    }
-
     /// Moves the terminals of the step that just ran into `out`, in
     /// ascending id (= submit order, whatever order the event handler
-    /// reached them in).
+    /// reached them in), then retires what the table no longer needs.
+    /// This is the only place a request is retired: after its terminal
+    /// was handed out, so nobody can still be owed its record.
     fn collect_terminals(&mut self, out: &mut Vec<TerminalEvent>) {
         let world = self.sim.world_mut();
         let terminals = world.terminals.as_mut().expect("installed at construction");
@@ -334,11 +380,18 @@ impl SimServer {
         }
         terminals.sort_unstable();
         self.unresolved -= terminals.len();
-        out.extend(
-            terminals
-                .drain(..)
-                .map(|id| terminal_event(world.requests.get(id))),
-        );
+        out.extend(terminals.drain(..).map(|id| {
+            terminal_event(
+                world
+                    .requests
+                    .get(id)
+                    .expect("terminal since the last step"),
+            )
+        }));
+        let retired = &mut self.retired;
+        world
+            .requests
+            .retire_resolved(|r| retired.count(r.deadline, r.outcome));
     }
 }
 
@@ -356,6 +409,7 @@ mod tests {
     use super::*;
     use pard_core::{PardPolicy, PardPolicyConfig};
     use pard_pipeline::AppKind;
+    use pard_policies::{make_factory, OcConfig, SystemKind};
     use proptest::prelude::*;
 
     fn server(seed: u64) -> SimServer {
@@ -363,20 +417,25 @@ mod tests {
     }
 
     fn server_for(app: AppKind, seed: u64) -> SimServer {
+        server_with(app, SystemKind::Pard, config_for(app, seed))
+    }
+
+    /// Two workers a module, a cheap planner.
+    fn config_for(app: AppKind, seed: u64) -> ClusterConfig {
+        ClusterConfig::default()
+            .with_seed(seed)
+            .with_fixed_workers(vec![2; app.pipeline().modules.len()])
+            .with_pard(pard_core::PardConfig::default().with_mc_draws(500))
+    }
+
+    fn server_with(app: AppKind, system: SystemKind, config: ClusterConfig) -> SimServer {
         let spec = app.pipeline();
         let profiles = crate::engine::resolve_profiles(&spec).expect("builtin models in zoo");
-        let config = ClusterConfig::default()
-            .with_seed(seed)
-            .with_fixed_workers(vec![2; spec.modules.len()])
-            .with_pard(pard_core::PardConfig::default().with_mc_draws(500));
         let workers = config.fixed_workers.clone().unwrap();
-        SimServer::new(
-            spec,
-            profiles,
-            Box::new(|_| Box::new(PardPolicy::new(PardPolicyConfig::pard()))),
-            config,
-            workers,
-        )
+        // (Only the static-split baselines read the execution estimates.)
+        let exec_ms = vec![10.0; spec.modules.len()];
+        let factory = make_factory(system, &spec, &exec_ms, OcConfig::default());
+        SimServer::new(spec, profiles, factory, config, workers)
     }
 
     fn run_scenario(seed: u64) -> Vec<(u64, bool)> {
@@ -434,8 +493,9 @@ mod tests {
             matches!(hopeless.outcome, Outcome::Dropped { .. }),
             "{hopeless:?}"
         );
-        let log = s.take_log();
-        assert_eq!(log.len(), 2);
+        let totals = s.totals();
+        assert_eq!((totals.requests, totals.goodput, totals.dropped), (2, 1, 1));
+        assert_eq!(s.resident(), 0, "nothing in flight, nothing remembered");
     }
 
     #[test]
@@ -516,9 +576,57 @@ mod tests {
         assert!(matches!(b.outcome, Outcome::Dropped { .. }), "{b:?}");
     }
 
-    /// The scan `collect_terminals` replaced, kept as the reference: a
-    /// twin server stepped through its internals, with every in-flight
-    /// id checked against the request table after every event.
+    /// `worker` 0 of `module` runs `factor` times slower, always.
+    fn always_slow(module: usize, factor: f64) -> crate::FaultSpec {
+        crate::FaultSpec::SlowWorker {
+            module,
+            worker: 0,
+            factor,
+            from: SimTime::ZERO,
+            until: SimTime::from_secs(86_400),
+        }
+    }
+
+    #[test]
+    fn one_stuck_request_pins_the_window_until_it_resolves() {
+        // The batch module 0's first worker starts takes minutes.
+        let config = ClusterConfig {
+            faults: vec![always_slow(0, 2_000.0)],
+            ..config_for(AppKind::Tm, 11)
+        };
+        let mut s = server_with(AppKind::Tm, SystemKind::Pard, config);
+        // Request 0 lands on the idle slow worker and starts executing
+        // at once; nothing drops a request that is already on the GPU.
+        let stuck = s.submit(None);
+        let mut t = SimTime::from_millis(1);
+        assert!(s.advance_to(t).is_empty(), "still executing");
+        // Everything behind it resolves (served by the healthy worker,
+        // or dropped from the slow one's queue) but stays resident.
+        let mut later = 0;
+        for _ in 0..50 {
+            for _ in 0..4 {
+                s.submit(None);
+            }
+            t += SimDuration::from_millis(100);
+            later += s.advance_to(t).len();
+        }
+        later += s.advance_to(t + SimDuration::from_secs(2)).len();
+        assert_eq!(later, 200, "only the stuck request is unresolved");
+        assert_eq!(s.unresolved(), 1);
+        assert_eq!(s.resident(), 201, "the window cannot move past id {stuck}");
+        // The step that resolves it retires the whole backlog.
+        let tail = s.drain(SimDuration::from_secs(3_600));
+        assert_eq!(tail.len(), 1);
+        assert_eq!(tail[0].id, stuck);
+        assert_eq!((s.unresolved(), s.resident()), (0, 0));
+        assert_eq!(s.totals().requests, 201);
+    }
+
+    /// The reference world: a twin server stepped through its internals,
+    /// so it never runs `collect_terminals` and therefore never retires
+    /// a request — its table is the full log. Terminals are found by
+    /// the scan `collect_terminals` replaced: every in-flight id checked
+    /// against the request table after every event.
     struct RetainScan {
         twin: SimServer,
         in_flight: Vec<u64>,
@@ -528,7 +636,7 @@ mod tests {
         fn scan(&mut self, out: &mut Vec<TerminalEvent>) {
             let world = self.twin.sim.world();
             self.in_flight.retain(|&id| {
-                let r = world.requests.get(id);
+                let r = world.requests.get(id).expect("the twin never retires");
                 if r.status == crate::request::ReqStatus::Active {
                     return true;
                 }
@@ -597,7 +705,7 @@ mod tests {
         /// batch, and so one step, resolve several requests).
         Submit {
             count: usize,
-            tight: bool,
+            slo_ms: Option<u64>,
         },
         AdvanceBy {
             us: u64,
@@ -613,26 +721,42 @@ mod tests {
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             // (The shim has no tuple strategies: one draw carries both.)
-            4 => (2usize..48).prop_map(|n| Op::Submit { count: n / 2, tight: n % 2 == 1 }),
+            // The pipeline's own SLO, one that is hopeless at the door,
+            // and one that gets in and runs out of time downstream.
+            4 => (3usize..72).prop_map(|n| Op::Submit {
+                count: n / 3,
+                slo_ms: [None, Some(40), Some(150)][n % 3],
+            }),
             3 => (0u64..60_000).prop_map(|us| Op::AdvanceBy { us }),
             2 => (1usize..64).prop_map(|max_events| Op::Pump { max_events }),
             1 => (1u64..300).prop_map(|ms| Op::Drain { ms }),
         ]
     }
 
-    /// Runs `ops` on a served world and on the retain-scan twin; the two
-    /// must report the same terminals in the same order from every call.
-    fn check_against_retain_scan(app: AppKind, seed: u64, ops: &[Op]) -> Result<(), TestCaseError> {
-        let mut s = server_for(app, seed);
+    /// Runs `ops`, then a full drain, on a served world — which retires
+    /// what it has answered — and on the retain-scan twin, which keeps
+    /// everything. Every call must report the same terminals in the same
+    /// order, the two flight records must be the same stream, the served
+    /// world must hold exactly the span from its oldest unresolved id to
+    /// its newest, and its totals must be what the twin's full log says.
+    fn check_against_retain_scan(
+        build: impl Fn() -> SimServer,
+        ops: &[Op],
+    ) -> Result<(), TestCaseError> {
+        let mut s = build();
         let mut reference = RetainScan {
-            twin: server_for(app, seed),
+            twin: build(),
             in_flight: Vec::new(),
         };
+        let recorders = [(); 2].map(|()| std::sync::Arc::new(pard_obs::FlightRecorder::new()));
+        s.set_recorder(recorders[0].clone());
+        reference.twin.set_recorder(recorders[1].clone());
         let (mut submitted, mut resolved) = (0usize, 0usize);
-        for &op in ops {
+        let full_drain = Op::Drain { ms: 3_600_000 };
+        for &op in ops.iter().chain([&full_drain]) {
             let (got, want) = match op {
-                Op::Submit { count, tight } => {
-                    let slo = tight.then(|| SimDuration::from_millis(40));
+                Op::Submit { count, slo_ms } => {
+                    let slo = slo_ms.map(SimDuration::from_millis);
                     for _ in 0..count {
                         s.submit(slo);
                         reference.submit(slo);
@@ -662,8 +786,99 @@ mod tests {
             resolved += got.len();
             prop_assert_eq!(s.unresolved(), submitted - resolved);
             prop_assert_eq!(s.now(), reference.twin.now());
+            // `in_flight` is in submit order, so its head is the oldest
+            // unresolved id; everything below it is retired.
+            let oldest = reference
+                .in_flight
+                .first()
+                .map_or(submitted, |&id| id as usize);
+            let resident = s.resident();
+            prop_assert!(
+                resident == submitted - oldest,
+                "{op:?}: {resident} resident, ids {oldest}..{submitted} in flight"
+            );
         }
+        // A full drain leaves no backlog.
+        prop_assert_eq!(s.resident(), s.unresolved());
+        prop_assert_eq!(recorders[0].emitted(), recorders[1].emitted());
+        prop_assert!(
+            recorders[0].dump() == recorders[1].dump(),
+            "flight records differ"
+        );
+        let log = std::mem::take(&mut reference.twin.sim.world_mut().requests).into_log();
+        prop_assert_eq!(log.len(), submitted);
+        prop_assert_eq!(s.totals(), pard_metrics::ServedTotals::from(&log));
         Ok(())
+    }
+
+    /// PARD drops at the first module whatever it can foresee; the
+    /// reactive and the look-behind-only systems let doomed requests
+    /// through, so theirs are the drops that happen downstream.
+    fn random_system_server(app: AppKind, seed: u64) -> SimServer {
+        let systems = [SystemKind::Pard, SystemKind::Nexus, SystemKind::PardBack];
+        server_with(app, systems[seed as usize % 3], config_for(app, seed))
+    }
+
+    /// The random scripts reach one of the ways a retired id is named
+    /// again (the `ModuleArrival` still queued for the other branch when
+    /// a DAG request is dropped at dispatch). This script builds the
+    /// others on `da` (0 -> {1, 2} -> 3). Branch 2 has one worker, 30x
+    /// slow, so it holds its copies for hundreds of milliseconds: one
+    /// executing, a full forming batch, the rest in the policy's queue.
+    /// Branch 1 meanwhile loses every worker to a crash, which drops all
+    /// 32 requests, and with nothing older unresolved they are retired
+    /// on the spot. Then branch 2 surfaces the copies: its batches end
+    /// (a stage finishing for a retired id), the policy pops the queue
+    /// (admitting some, deciding to `Drop` others — the short-SLO ones
+    /// have expired), and — second variant — its own worker crashes
+    /// with a forming batch of retired ids to re-dispatch.
+    #[test]
+    fn sibling_copies_of_a_retired_request_surface_harmlessly() {
+        let crash = |module, worker, ms| crate::FaultSpec::WorkerCrash {
+            module,
+            worker,
+            at: SimTime::from_millis(ms),
+        };
+        for branch_2_crash in [None, Some(crash(2, 0, 200))] {
+            let mut faults = vec![
+                always_slow(2, 30.0),
+                // The first two requests are executing on these...
+                crash(1, 0, 20),
+                crash(1, 1, 20),
+                // ...and the other thirty have all reached this one.
+                crash(1, 2, 85),
+            ];
+            faults.extend(branch_2_crash);
+            let config = ClusterConfig {
+                faults,
+                fixed_workers: Some(vec![2, 3, 1, 1]),
+                ..config_for(AppKind::Da, 5)
+            };
+            let build = || server_with(AppKind::Da, SystemKind::Nexus, config.clone());
+            // Two requests take module 0's idle workers; the burst
+            // behind them leaves module 0 as two batches of fifteen.
+            let submits = [(2, None), (18, None), (6, Some(200)), (6, Some(5_000))];
+            let mut ops = Vec::new();
+            for (count, slo_ms) in submits {
+                ops.push(Op::Submit { count, slo_ms });
+                ops.push(Op::AdvanceBy { us: 250 });
+            }
+            ops.extend((0..400).map(|_| Op::AdvanceBy { us: 5_000 }));
+            check_against_retain_scan(build, &ops).unwrap();
+
+            // The scenario is what the comment says: at 100 ms the
+            // table is empty while branch 2 still queues the copies.
+            let mut s = build();
+            for (count, slo_ms) in submits {
+                for _ in 0..count {
+                    s.submit(slo_ms.map(SimDuration::from_millis));
+                }
+                s.advance_to(s.now() + SimDuration::from_micros(250));
+            }
+            s.advance_to(SimTime::from_millis(100));
+            assert_eq!((s.unresolved(), s.resident()), (0, 0));
+            assert!(s.edge_snapshot().queue_depths[2] > 0);
+        }
     }
 
     proptest! {
@@ -674,7 +889,7 @@ mod tests {
             seed in 0u64..1_000,
             ops in proptest::collection::vec(op_strategy(), 1..120),
         ) {
-            check_against_retain_scan(AppKind::Tm, seed, &ops)?;
+            check_against_retain_scan(|| random_system_server(AppKind::Tm, seed), &ops)?;
         }
 
         #[test]
@@ -682,7 +897,7 @@ mod tests {
             seed in 0u64..1_000,
             ops in proptest::collection::vec(op_strategy(), 1..120),
         ) {
-            check_against_retain_scan(AppKind::Da, seed, &ops)?;
+            check_against_retain_scan(|| random_system_server(AppKind::Da, seed), &ops)?;
         }
     }
 }

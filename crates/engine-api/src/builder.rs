@@ -682,16 +682,17 @@ mod tests {
             .build_sim(ClusterConfig::default())
             .expect("builds");
         use crate::handle::{EngineHandle, SubmitSpec};
-        engine.submit(SubmitSpec::default());
+        let id = engine.submit(SubmitSpec::default());
         engine.advance_to(SimTime::from_millis(200));
         // The arrival is still in flight at 200 ms (net delay 250 ms).
         assert_eq!(engine.edge_state().queue_depths[0], 0);
-        let log = engine.drain(SimDuration::from_secs(10));
-        let record = &log.records()[0];
-        assert!(
-            record.stages[0].arrived >= SimTime::from_millis(250),
-            "{:?}",
-            record.stages[0]
-        );
+        let totals = engine.drain(SimDuration::from_secs(10));
+        assert_eq!(totals.requests, 1);
+        let events = engine.telemetry().expect("records").events_for(id);
+        let first_arrival = events.iter().find_map(|e| match e.kind {
+            pard_obs::ObsKind::Stage { arrived_us, .. } => Some(arrived_us),
+            _ => None,
+        });
+        assert!(first_arrival >= Some(250_000), "{events:?}");
     }
 }

@@ -4,7 +4,7 @@
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use pard_metrics::RequestLog;
+use pard_metrics::ServedTotals;
 use pard_obs::FlightRecorder;
 use pard_pipeline::PipelineSpec;
 use pard_runtime::{Completion, EdgeState};
@@ -120,10 +120,26 @@ pub trait EngineHandle: Send + Sync {
     }
 
     /// Resolves in-flight requests (bounded by `limit` of virtual
-    /// time), stops the engine, and returns the request log. The first
-    /// call takes the log and drops the completion sink; later calls
-    /// return an empty log.
-    fn drain(&self, limit: SimDuration) -> RequestLog;
+    /// time), stops the engine, drops the completion sink, and returns
+    /// what it served: how many requests were submitted, how many
+    /// completed within their SLO, how many count as dropped — what a
+    /// full [`pard_metrics::RequestLog`] would answer to `len`,
+    /// `goodput_count` and `drop_count`, with requests the limit left
+    /// unresolved counted in `requests` only.
+    ///
+    /// Totals, not a log: a serving engine answers each request once,
+    /// on the completion sink, and is free to forget it afterwards —
+    /// the stepped simulator does, which is what keeps a long-lived
+    /// server's memory at its in-flight span (see
+    /// [`pard_cluster::SimServer`]). A caller that wants per-request
+    /// records reads the sink or [`EngineHandle::telemetry`]; the
+    /// trace-driven [`pard_cluster::run`] and
+    /// [`pard_runtime::LiveCluster::finish`] still return full logs.
+    ///
+    /// Call it once, last. A repeated call resolves nothing further;
+    /// the stepped simulator reports the same totals again, the live
+    /// runtime (whose log the first call consumed) reports zeros.
+    fn drain(&self, limit: SimDuration) -> ServedTotals;
 
     /// The engine's flight recorder, if it records lifecycle events.
     ///

@@ -9,8 +9,8 @@
 //!
 //! [`EngineHandle`] is the unified surface a serving front-end drives:
 //! submit, edge-state snapshots, completion delivery, a virtual clock,
-//! and a draining shutdown that yields the full
-//! [`pard_metrics::RequestLog`]. [`EngineBuilder`] constructs either
+//! and a draining shutdown that yields the engine's
+//! [`pard_metrics::ServedTotals`]. [`EngineBuilder`] constructs either
 //! implementation from a [`PipelineSpec`](pard_pipeline::PipelineSpec):
 //!
 //! * [`Backend::Live`] — the threaded [`LiveCluster`] with sleep

@@ -3,7 +3,7 @@
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use pard_metrics::RequestLog;
+use pard_metrics::ServedTotals;
 use pard_obs::FlightRecorder;
 use pard_pipeline::PipelineSpec;
 use pard_runtime::{Completion, EdgeState, LiveCluster, SubmitOptions};
@@ -54,8 +54,8 @@ impl EngineHandle for LiveEngine {
         self.cluster.set_completion_sink(sink);
     }
 
-    fn drain(&self, limit: SimDuration) -> RequestLog {
-        self.cluster.drain(limit)
+    fn drain(&self, limit: SimDuration) -> ServedTotals {
+        ServedTotals::from(&self.cluster.drain(limit))
     }
 
     fn telemetry(&self) -> Option<Arc<FlightRecorder>> {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use pard_cluster::{SimServer, TerminalEvent};
-use pard_metrics::RequestLog;
+use pard_metrics::ServedTotals;
 use pard_obs::FlightRecorder;
 use pard_pipeline::PipelineSpec;
 use pard_runtime::{Completion, EdgeState};
@@ -120,6 +120,13 @@ impl SimEngine {
         }
     }
 
+    /// Request records the simulator holds right now: the id span from
+    /// its oldest unresolved request to its newest submit, whatever the
+    /// number it has served (see [`SimServer::resident`]).
+    pub fn resident(&self) -> usize {
+        self.inner.lock().server.resident()
+    }
+
     /// Publishes the server's clock to the lock-free shadow; call with
     /// the inner lock held, after any operation that may move time.
     fn publish_now(&self, inner: &Inner) {
@@ -198,13 +205,13 @@ impl EngineHandle for SimEngine {
         true
     }
 
-    fn drain(&self, limit: SimDuration) -> RequestLog {
+    fn drain(&self, limit: SimDuration) -> ServedTotals {
         let mut inner = self.inner.lock();
         let terminals = inner.server.drain(limit);
         inner.deliver(terminals);
         inner.sink = None;
         self.publish_now(&inner);
-        inner.server.take_log()
+        inner.server.totals()
     }
 
     fn telemetry(&self) -> Option<Arc<FlightRecorder>> {

@@ -765,8 +765,8 @@ mod tests {
             state(vec![0, 0, 0])
         }
         fn set_completion_sink(&self, _: std::sync::mpsc::Sender<pard_engine_api::Completion>) {}
-        fn drain(&self, _: SimDuration) -> pard_metrics::RequestLog {
-            pard_metrics::RequestLog::default()
+        fn drain(&self, _: SimDuration) -> pard_metrics::ServedTotals {
+            pard_metrics::ServedTotals::default()
         }
         fn telemetry(&self) -> Option<Arc<FlightRecorder>> {
             Some(Arc::clone(&self.recorder))

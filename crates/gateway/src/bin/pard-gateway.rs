@@ -257,9 +257,9 @@ fn main() {
                 .iter()
                 .filter_map(|name| gateway.counters_of(name))
                 .collect();
-            let logs = gateway.shutdown_multi(pard_sim::SimDuration::from_secs(10));
+            let served = gateway.shutdown_multi(pard_sim::SimDuration::from_secs(10));
             println!("--- run summary ---");
-            for ((name, snapshot), log) in names.iter().zip(&snapshots).zip(&logs) {
+            for ((name, snapshot), totals) in names.iter().zip(&snapshots).zip(&served) {
                 println!(
                     "[{name}] received {}  admitted {}  edge-rejected {}  rate-limited {}  ok {}  \
                      late {}  dropped {}  protocol-errors {}",
@@ -273,10 +273,8 @@ fn main() {
                     snapshot.protocol_errors,
                 );
                 println!(
-                    "[{name}] request log: {} entries, goodput {}, drops {}",
-                    log.len(),
-                    log.goodput_count(),
-                    log.drop_count()
+                    "[{name}] engine served: {} requests, goodput {}, drops {}",
+                    totals.requests, totals.goodput, totals.dropped
                 );
             }
         }

@@ -95,7 +95,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use pard_engine_api::{Completion, EngineHandle};
-use pard_metrics::{ModuleDropCounters, Outcome, RequestLog, ServingCounters};
+use pard_metrics::{ModuleDropCounters, Outcome, ServedTotals, ServingCounters};
 use pard_obs::{FlightRecorder, FrameBus};
 use pard_sim::{SimDuration, SimTime, TokenBucket};
 
@@ -1513,7 +1513,8 @@ fn accept_loop(listener: TcpListener, core: Arc<Core>, inboxes: Vec<Arc<ShardInb
 
 /// A running gateway. Dropping it without calling
 /// [`Gateway::shutdown`] leaks the serving threads; tests and binaries
-/// should always shut down explicitly to collect the request logs.
+/// should always shut down explicitly to stop the engines and collect
+/// their totals.
 pub struct Gateway {
     core: Arc<Core>,
     addr: SocketAddr,
@@ -1832,18 +1833,19 @@ impl Gateway {
 
     /// Stops accepting, drains in-flight requests (bounded by
     /// `drain_virtual` of virtual time and 30 s of wall time), stops
-    /// the engine, and returns its request log. Single-app shorthand
-    /// for [`Gateway::shutdown_multi`].
-    pub fn shutdown(self, drain_virtual: SimDuration) -> RequestLog {
+    /// the engine, and returns what it served (the totals of
+    /// [`EngineHandle::drain`]). Single-app shorthand for
+    /// [`Gateway::shutdown_multi`].
+    pub fn shutdown(self, drain_virtual: SimDuration) -> ServedTotals {
         self.shutdown_multi(drain_virtual).remove(0)
     }
 
-    /// Shuts every app down and returns their request logs in
+    /// Shuts every app down and returns their engines' totals in
     /// registration order. The calling thread becomes the driver of
     /// every stepped engine for the drain window, so it is also the one
     /// that routes their completions; live engines keep their
     /// dispatcher threads until their `drain` returns.
-    pub fn shutdown_multi(self, drain_virtual: SimDuration) -> Vec<RequestLog> {
+    pub fn shutdown_multi(self, drain_virtual: SimDuration) -> Vec<ServedTotals> {
         let Gateway {
             core,
             addr: _,
@@ -1934,14 +1936,14 @@ impl Gateway {
         }
         // Draining stops each engine and drops its completion sender,
         // which is what lets a live engine's dispatcher exit. What a
-        // drain still resolves goes to the log only: the flush above
+        // drain still resolves goes to the totals only: the flush above
         // already answered those requests.
-        let logs: Vec<RequestLog> = core
+        let totals: Vec<ServedTotals> = core
             .apps
             .iter()
             .map(|app| {
                 // A watchdog-tripped engine may panic again in drain;
-                // its log is forfeit, the other apps' logs are not.
+                // its totals are forfeit, the other apps' are not.
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     app.engine().drain(drain_virtual)
                 }))
@@ -1951,7 +1953,7 @@ impl Gateway {
         for handle in dispatchers {
             let _ = handle.join();
         }
-        logs
+        totals
     }
 }
 

@@ -14,7 +14,7 @@ use pard_engine_api::{
 };
 use pard_gateway::client::{CallSpec, Client};
 use pard_gateway::{Gateway, GatewayConfig};
-use pard_metrics::RequestLog;
+use pard_metrics::ServedTotals;
 use pard_pipeline::{AppKind, PipelineSpec};
 use pard_sim::{SimDuration, SimTime};
 
@@ -150,7 +150,7 @@ impl EngineHandle for PumpedOnlyByShutdown {
             .is_some_and(|name| name.starts_with("pard-pump-"));
         !on_pump_thread && self.0.pump()
     }
-    fn drain(&self, limit: SimDuration) -> RequestLog {
+    fn drain(&self, limit: SimDuration) -> ServedTotals {
         self.0.drain(limit)
     }
 }
@@ -169,10 +169,10 @@ fn the_shutdown_drain_answers_what_its_pumps_resolve() {
     assert!(client.try_recv().is_none(), "nothing pumps before shutdown");
     // Shutdown pumps the engine itself. What that resolves is answered
     // with its real outcome, not flushed as a `shutdown` drop.
-    let log = gateway.shutdown(SimDuration::from_secs(10));
+    let totals = gateway.shutdown(SimDuration::from_secs(10));
     for seq in seqs {
         let answer = client.wait(seq, WAIT).expect("owed reply arrives");
         assert!(answer.outcome.is_ok(), "{answer:?}");
     }
-    assert_eq!(log.goodput_count(), 12);
+    assert_eq!((totals.requests, totals.goodput), (12, 12));
 }

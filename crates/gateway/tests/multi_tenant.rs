@@ -128,10 +128,11 @@ fn requests_route_by_wire_app_field() {
     assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
 
     drop(client);
-    let logs = gateway.shutdown_multi(SimDuration::from_secs(10));
-    assert_eq!(logs.len(), 2);
-    assert_eq!(logs[0].len(), 5, "tm's engine saw its five requests");
-    assert_eq!(logs[1].len(), 3, "lv's engine saw its three");
+    let totals = gateway.shutdown_multi(SimDuration::from_secs(10));
+    assert_eq!(totals.len(), 2);
+    assert_eq!(totals[0].requests, 5, "tm's engine saw its five requests");
+    assert_eq!(totals[1].requests, 3, "lv's engine saw its three");
+    assert_eq!(totals[1].goodput, 3, "and agrees with /metrics on lv's ok");
 }
 
 #[test]

@@ -24,7 +24,7 @@ use pard_gateway::server::ChaosConfig;
 use pard_gateway::{
     AppConfig, ErrorCode, Gateway, GatewayConfig, LoadMode, LoadgenConfig, RateLimit, RetryPolicy,
 };
-use pard_metrics::RequestLog;
+use pard_metrics::ServedTotals;
 use pard_pipeline::{AppKind, PipelineSpec};
 use pard_sim::{SimDuration, SimTime};
 
@@ -179,10 +179,10 @@ impl EngineHandle for BrokenPumpEngine {
         }
     }
 
-    fn drain(&self, _limit: SimDuration) -> RequestLog {
+    fn drain(&self, _limit: SimDuration) -> ServedTotals {
         // A drained engine drops its sink, as the real ones do.
         self.sink.lock().unwrap().take();
-        RequestLog::new()
+        ServedTotals::default()
     }
 }
 
@@ -367,8 +367,9 @@ fn read_stalls_and_partial_writes_preserve_every_outcome() {
     let snapshot = gateway.counters();
     assert_eq!(snapshot.received, 60);
     assert_eq!(snapshot.admitted + snapshot.unadmitted(), snapshot.received);
-    let log = gateway.shutdown(SimDuration::from_secs(10));
-    assert_eq!(log.len() as u64, snapshot.admitted);
+    let totals = gateway.shutdown(SimDuration::from_secs(10));
+    assert_eq!(totals.requests, snapshot.admitted);
+    assert_eq!(totals.goodput, snapshot.completed_ok);
 }
 
 #[test]
@@ -419,11 +420,11 @@ fn mid_request_resets_kill_the_connection_but_not_the_server() {
     );
 
     // Counter algebra survives replies that never reached a socket:
-    // the engine completed them, so they are in the log and counted.
+    // the engine completed them, so they are in its totals and counted.
     let snapshot = gateway.counters();
     assert_eq!(snapshot.admitted + snapshot.unadmitted(), snapshot.received);
-    let log = gateway.shutdown(SimDuration::from_secs(10));
-    assert_eq!(log.len() as u64, snapshot.admitted);
+    let totals = gateway.shutdown(SimDuration::from_secs(10));
+    assert_eq!(totals.requests, snapshot.admitted);
 }
 
 // ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ pub use counters::{
     Counter, CountersSnapshot, ModuleDropCounters, ModuleDropsSnapshot, ServingCounters,
 };
 pub use dist::{Cdf, Histogram, Reservoir};
-pub use record::{DropReason, Outcome, RequestLog, RequestRecord, StageRecord};
+pub use record::{DropReason, Outcome, RequestLog, RequestRecord, ServedTotals, StageRecord};
 pub use series::{EventKind, WindowSeries};
 pub use stats::Summary;
 pub use table::Table;

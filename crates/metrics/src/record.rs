@@ -102,6 +102,25 @@ pub enum Outcome {
     },
 }
 
+impl Outcome {
+    /// Whether a request with this outcome counts toward goodput:
+    /// completed at or before `deadline`.
+    pub fn is_goodput(self, deadline: SimTime) -> bool {
+        matches!(self, Outcome::Completed { finished } if finished <= deadline)
+    }
+
+    /// Whether a request with this outcome counts as dropped under the
+    /// paper's metric (§5.1): explicitly dropped, or completed after
+    /// `deadline`.
+    pub fn is_dropped(self, deadline: SimTime) -> bool {
+        match self {
+            Outcome::Dropped { .. } => true,
+            Outcome::Completed { finished } => finished > deadline,
+            Outcome::InFlight => false,
+        }
+    }
+}
+
 /// One module traversal (Fig. 5 timestamps).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageRecord {
@@ -163,17 +182,13 @@ pub struct RequestRecord {
 impl RequestRecord {
     /// Whether this request counts toward goodput (completed within SLO).
     pub fn is_goodput(&self) -> bool {
-        matches!(self.outcome, Outcome::Completed { finished } if finished <= self.deadline)
+        self.outcome.is_goodput(self.deadline)
     }
 
     /// Whether this request counts as dropped under the paper's metric
     /// (§5.1): explicitly dropped, or completed after its deadline.
     pub fn is_dropped(&self) -> bool {
-        match self.outcome {
-            Outcome::Dropped { .. } => true,
-            Outcome::Completed { finished } => finished > self.deadline,
-            Outcome::InFlight => false,
-        }
+        self.outcome.is_dropped(self.deadline)
     }
 
     /// Module a drop is attributed to, if the request is dropped.
@@ -215,6 +230,42 @@ impl RequestRecord {
             Outcome::Completed { finished } => Some(finished.saturating_since(self.sent)),
             _ => None,
         }
+    }
+}
+
+/// The three counts a serving engine hands back when it is drained:
+/// what [`RequestLog::len`], [`RequestLog::goodput_count`] and
+/// [`RequestLog::drop_count`] would say of the full log, for an engine
+/// that does not keep one. A long-lived server folds each request in
+/// as it forgets it ([`ServedTotals::count`]); an engine that still has
+/// its log converts it (`ServedTotals::from(&log)`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServedTotals {
+    /// Requests submitted to the engine, resolved or not.
+    pub requests: u64,
+    /// Requests that completed within their SLO.
+    pub goodput: u64,
+    /// Requests counted as dropped (§5.1: includes late completions).
+    pub dropped: u64,
+}
+
+impl ServedTotals {
+    /// Folds in one request by its deadline and final (or current)
+    /// outcome.
+    pub fn count(&mut self, deadline: SimTime, outcome: Outcome) {
+        self.requests += 1;
+        self.goodput += u64::from(outcome.is_goodput(deadline));
+        self.dropped += u64::from(outcome.is_dropped(deadline));
+    }
+}
+
+impl From<&RequestLog> for ServedTotals {
+    fn from(log: &RequestLog) -> ServedTotals {
+        let mut totals = ServedTotals::default();
+        for r in log.records() {
+            totals.count(r.deadline, r.outcome);
+        }
+        totals
     }
 }
 
@@ -574,6 +625,14 @@ mod tests {
         // All four consumed 10 ms GPU share; two were wasted.
         assert!((log.invalid_rate() - 0.5).abs() < 1e-12);
         assert!((log.goodput_rate(SimDuration::from_secs(2)) - 1.0).abs() < 1e-12);
+        // The drained totals are the same three counts, in-flight
+        // requests included in `requests` only.
+        log.push(RequestRecord {
+            outcome: Outcome::InFlight,
+            ..completed(5, 0, 400, vec![stage(0, 10, 5, 5, 40)])
+        });
+        let totals = ServedTotals::from(&log);
+        assert_eq!((totals.requests, totals.goodput, totals.dropped), (5, 2, 2));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! dropped, and cancelled fragments are discarded at batch formation
 //! before they burn backend execution.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -190,6 +190,12 @@ struct Shared {
     shutdown: AtomicBool,
     modules: Vec<ModuleShared>,
     records: Mutex<Vec<LiveRecord>>,
+    /// How many of `records` are still [`Outcome::InFlight`], so a
+    /// drain can wait for zero without taking the lock every worker
+    /// needs to finish a batch. Written only under that lock, next to
+    /// the outcome it counts (`Release`, pairing with the drain's
+    /// `Acquire` load: a drain that reads zero also sees the outcomes).
+    unresolved: AtomicUsize,
     completion_tx: Mutex<Option<Sender<Completion>>>,
     /// Flight recorder for lifecycle events, always on: recording is a
     /// ticket `fetch_add` plus a handful of atomic stores, so it stays
@@ -287,6 +293,7 @@ impl Shared {
             let record = &mut records[id as usize];
             if matches!(record.outcome, Outcome::InFlight) {
                 record.outcome = Outcome::Dropped { module, at, reason };
+                self.unresolved.fetch_sub(1, Ordering::Release);
                 Some(Completion {
                     id,
                     tag: record.tag,
@@ -382,6 +389,7 @@ impl LiveCluster {
             shutdown: AtomicBool::new(false),
             modules,
             records: Mutex::new(Vec::new()),
+            unresolved: AtomicUsize::new(0),
             completion_tx: Mutex::new(None),
             recorder: Arc::new(FlightRecorder::new()),
             spec,
@@ -438,6 +446,7 @@ impl LiveCluster {
                 outcome: Outcome::InFlight,
                 merge_arrivals,
             });
+            self.shared.unresolved.fetch_add(1, Ordering::Release);
             (records.len() - 1) as u64
         };
         let meta = ReqMeta {
@@ -532,12 +541,7 @@ impl LiveCluster {
     pub fn drain(&self, drain_virtual: SimDuration) -> RequestLog {
         let deadline = self.shared.clock.now() + drain_virtual;
         loop {
-            let pending = {
-                let records = self.shared.records.lock();
-                records
-                    .iter()
-                    .any(|r| matches!(r.outcome, Outcome::InFlight))
-            };
+            let pending = self.shared.unresolved.load(Ordering::Acquire) > 0;
             if !pending || self.shared.clock.now() >= deadline {
                 break;
             }
@@ -660,6 +664,7 @@ fn worker_loop(shared: Arc<Shared>, m: usize, w: usize, mut backend: Box<dyn Inf
             let mut completion = None;
             if active && is_sink {
                 record.outcome = Outcome::Completed { finished: end };
+                shared.unresolved.fetch_sub(1, Ordering::Release);
                 completion = Some(Completion {
                     id: meta.id,
                     tag: record.tag,

@@ -68,11 +68,9 @@ fn main() {
         "gateway counters: received {}, admitted {}, edge-rejected {}, ok {}",
         snapshot.received, snapshot.admitted, snapshot.rejected, snapshot.completed_ok
     );
-    let log = gateway.shutdown(SimDuration::from_secs(10));
+    let totals = gateway.shutdown(SimDuration::from_secs(10));
     println!(
-        "engine log: {} admitted requests, {} goodput, {} drops",
-        log.len(),
-        log.goodput_count(),
-        log.drop_count()
+        "engine served: {} admitted requests, {} goodput, {} drops",
+        totals.requests, totals.goodput, totals.dropped
     );
 }

@@ -37,7 +37,9 @@ fn main() {
     println!("phase 2: 60 virtual seconds at 700 req/s (overload: drops expected)...");
     cluster.run_open_loop(700.0, SimDuration::from_secs(60), 2);
 
-    let log = engine.drain(SimDuration::from_secs(10));
+    // The runtime's own drain hands back the full request log (the
+    // engine API's `drain` only returns totals).
+    let log = cluster.drain(SimDuration::from_secs(10));
     let calm: Vec<_> = log
         .records()
         .iter()

@@ -131,7 +131,7 @@ fn des_and_live_runtime_agree_on_light_load() {
         .expect("valid chain pipeline");
     live.cluster()
         .run_open_loop(40.0, SimDuration::from_secs(10), 7);
-    let live_log = live.drain(SimDuration::from_secs(5));
+    let live_log = live.cluster().drain(SimDuration::from_secs(5));
     let live_frac = live_log.goodput_count() as f64 / live_log.len().max(1) as f64;
 
     assert!(des_frac > 0.99, "DES goodput {des_frac}");
