@@ -45,6 +45,19 @@ fn bench_des(c: &mut Criterion) {
             black_box(sim.processed())
         })
     });
+    // The same events as `wide_heap_100k`, streamed in time order the
+    // way a trace-driven run feeds its arrivals.
+    let mut source: Vec<(SimTime, u64)> = (0..EVENTS)
+        .map(|i| (SimTime::from_micros((i * 7919) % 1_000_000), i))
+        .collect();
+    source.sort_by_key(|&(t, _)| t);
+    group.bench_function("merged_source_100k", |b| {
+        b.iter(|| {
+            let mut sim = Simulation::new(Chain { remaining: 0 });
+            sim.run_merged(source.iter().copied());
+            black_box(sim.processed())
+        })
+    });
     group.finish();
 }
 

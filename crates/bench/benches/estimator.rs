@@ -10,7 +10,7 @@ fn bench_estimator(c: &mut Criterion) {
     let samples: Vec<f64> = (0..512).map(|i| (i % 80) as f64 * 0.5).collect();
     let mut group = c.benchmark_group("wait_quantile");
     for &modules in &[1usize, 2, 4] {
-        for &draws in &[1_000usize, 10_000] {
+        for &draws in &[1_000usize, 4_000, 10_000] {
             let id = format!("n{modules}_m{draws}");
             group.bench_with_input(
                 BenchmarkId::from_parameter(id),

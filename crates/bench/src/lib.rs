@@ -2,8 +2,9 @@
 //!
 //! Every `src/bin/figNN_*.rs` binary drives the cluster simulator through
 //! this harness and prints paper-style tables (via
-//! [`pard_metrics::Table`]). EXPERIMENTS.md records the measured outputs
-//! next to the paper's numbers.
+//! [`pard_metrics::Table`]), most with the paper's numbers beside the
+//! measured ones. Nothing stores or checks the output: rerun a binary to
+//! see its numbers.
 
 use pard_cluster::{resolve_profiles, run, ClusterConfig, RunResult, UnknownModelError};
 use pard_core::PardConfig;

@@ -101,7 +101,6 @@ pub(crate) struct ModuleRuntime {
     drop_meter: RateMeter,
     last_scale_down: SimTime,
     pres_count: usize,
-    subs: Vec<usize>,
 }
 
 /// The simulated cluster.
@@ -128,6 +127,9 @@ pub struct ClusterWorld {
     /// after every step; trace-driven runs read outcomes from the
     /// request table once, at the end, and keep it `None`.
     pub(crate) terminals: Option<Vec<u64>>,
+    /// The batching loop's drop decisions, held here so that a pass
+    /// over a worker allocates nothing; empty between calls.
+    drops: Vec<(u64, DropReason)>,
     horizon: SimTime,
     peak_workers: usize,
     /// Flight recorder for lifecycle events (stage, drop, merge,
@@ -204,7 +206,6 @@ impl ClusterWorld {
                 drop_meter: RateMeter::new(pard.window),
                 last_scale_down: SimTime::ZERO,
                 pres_count: spec.modules[k].pres.len(),
-                subs: spec.modules[k].subs.clone(),
             });
         }
         let published = (0..n).map(ModuleState::empty).collect();
@@ -226,6 +227,7 @@ impl ClusterWorld {
             sync_bytes: 0,
             priority_log: None,
             terminals: None,
+            drops: Vec::new(),
             horizon,
             peak_workers: peak,
             recorder: None,
@@ -324,10 +326,8 @@ impl ClusterWorld {
     /// The batching loop: fill the forming batch from the queue (making
     /// drop decisions on the way) and start it when the GPU is idle.
     fn service(&mut self, m: usize, w: usize, now: SimTime, queue: &mut EventQueue<Event>) {
+        let mut drops = std::mem::take(&mut self.drops);
         loop {
-            let mut drops: Vec<(u64, DropReason)> = Vec::new();
-            let mut q_samples: Vec<f64> = Vec::new();
-            let mut wait_samples: Vec<f64> = Vec::new();
             let mut started = false;
             {
                 let module = &mut self.modules[m];
@@ -335,7 +335,7 @@ impl ClusterWorld {
                 let d_planned = module.profile.latency(b);
                 let worker = &mut module.workers[w];
                 if !matches!(worker.state, WorkerState::Up | WorkerState::Draining) {
-                    return;
+                    break;
                 }
                 let ctx = PopCtx {
                     now,
@@ -357,7 +357,12 @@ impl ClusterWorld {
                             if self.requests.active(meta.id).is_none() {
                                 continue;
                             }
-                            q_samples.push(now.saturating_since(meta.arrived).as_millis_f64());
+                            // The windows are read only at sync, so a
+                            // sample can go in before this pass's drops
+                            // are recorded.
+                            module
+                                .q_window
+                                .push(now, now.saturating_since(meta.arrived).as_millis_f64());
                             worker.forming.push(BatchEntry {
                                 req: meta.id,
                                 arrived: meta.arrived,
@@ -380,11 +385,16 @@ impl ClusterWorld {
                         .latency(batch_len)
                         .mul_f64(jitter * worker.slow_factor);
                     worker.exec_started = now;
-                    worker.executing = std::mem::take(&mut worker.forming);
+                    // An idle worker's executing buffer is empty; the
+                    // forming batch takes over its capacity.
+                    debug_assert!(worker.executing.is_empty());
+                    std::mem::swap(&mut worker.executing, &mut worker.forming);
                     worker.batch_opened = false;
                     worker.busy_until = Some(now + duration);
                     for e in &worker.executing {
-                        wait_samples.push(now.saturating_since(e.batched).as_millis_f64());
+                        module
+                            .wait_reservoir
+                            .record(now.saturating_since(e.batched).as_millis_f64());
                     }
                     queue.push(
                         now + duration,
@@ -397,20 +407,14 @@ impl ClusterWorld {
                     started = true;
                 }
             }
-            for (id, reason) in drops {
+            for (id, reason) in drops.drain(..) {
                 self.record_drop(id, m, now, reason);
             }
-            let module = &mut self.modules[m];
-            for q in q_samples {
-                module.q_window.push(now, q);
-            }
-            for wt in wait_samples {
-                module.wait_reservoir.record(wt);
-            }
             if !started {
-                return;
+                break;
             }
         }
+        self.drops = drops;
     }
 
     fn on_module_arrival(
@@ -459,7 +463,7 @@ impl ClusterWorld {
         now: SimTime,
         queue: &mut EventQueue<Event>,
     ) {
-        let (entries, t_e) = {
+        let (mut entries, t_e) = {
             let worker = &mut self.modules[m].workers[w];
             if worker.epoch != epoch {
                 return; // stale completion of a crashed worker
@@ -473,8 +477,7 @@ impl ClusterWorld {
         }
         let batch_len = entries.len();
         let gpu_share = now.saturating_since(t_e) / batch_len as u64;
-        let subs = self.modules[m].subs.clone();
-        let mut wcl_samples = Vec::with_capacity(batch_len);
+        let subs = &self.spec.modules[m].subs;
         for e in &entries {
             let stage = StageRecord {
                 module: m,
@@ -486,7 +489,9 @@ impl ClusterWorld {
                 batch_size: batch_len,
                 gpu_share,
             };
-            wcl_samples.push(now.saturating_since(e.arrived).as_millis_f64());
+            self.modules[m]
+                .wcl_window
+                .push(now, now.saturating_since(e.arrived).as_millis_f64());
             self.obs(ObsEvent {
                 t_us: now.as_micros(),
                 req: e.req,
@@ -535,7 +540,7 @@ impl ClusterWorld {
                     },
                 );
             } else {
-                for &s in &subs {
+                for &s in subs {
                     queue.push(
                         now + self.config.net_delay,
                         Event::ModuleArrival {
@@ -546,19 +551,17 @@ impl ClusterWorld {
                 }
             }
         }
-        for s in wcl_samples {
-            self.modules[m].wcl_window.push(now, s);
-        }
+        // The buffer goes back for the worker's next batch to reuse.
+        entries.clear();
+        let worker = &mut self.modules[m].workers[w];
+        worker.executing = entries;
         // A draining worker that has flushed everything goes down.
+        if worker.state == WorkerState::Draining
+            && worker.forming.is_empty()
+            && worker.policy.queue_len() == 0
         {
-            let worker = &mut self.modules[m].workers[w];
-            if worker.state == WorkerState::Draining
-                && worker.forming.is_empty()
-                && worker.policy.queue_len() == 0
-            {
-                worker.state = WorkerState::Down;
-                return;
-            }
+            worker.state = WorkerState::Down;
+            return;
         }
         self.service(m, w, now, queue);
     }
@@ -918,6 +921,12 @@ pub fn initial_workers(
 
 /// Runs `trace` through `spec` with per-module `profiles` and the policy
 /// built by `factory`.
+///
+/// Every request is registered up front, so ids and the returned log
+/// follow arrival order. The arrivals themselves are streamed into the
+/// event loop ([`Simulation::run_merged`]) rather than pre-scheduled: the
+/// heap holds only the events in flight, not the whole trace, and the
+/// merge's tie rule makes the run bit-identical to pre-scheduling them.
 pub fn run_with_profiles(
     spec: &PipelineSpec,
     profiles: Vec<ModelProfile>,
@@ -938,27 +947,26 @@ pub fn run_with_profiles(
     let mut arrival_rng = DetRng::new(config.seed).fork(7);
     let mut world = ClusterWorld::new(spec.clone(), profiles, factory, config, workers, horizon);
     world.priority_log = Some(Vec::new());
+    let arrivals: Vec<(SimTime, Event)> = poisson_arrivals(trace, &mut arrival_rng)
+        .into_iter()
+        .map(|t| {
+            let req = world.requests.insert(t, t + slo, &world.spec);
+            (
+                t + net_delay,
+                Event::ModuleArrival {
+                    module: source,
+                    req,
+                },
+            )
+        })
+        .collect();
     let mut sim = Simulation::new(world);
-
-    for t in poisson_arrivals(trace, &mut arrival_rng) {
-        let id = {
-            let w = sim.world_mut();
-            w.requests.insert(t, t + slo, &w.spec)
-        };
-        sim.schedule(
-            t + net_delay,
-            Event::ModuleArrival {
-                module: source,
-                req: id,
-            },
-        );
-    }
     let first_sync = sim.world().config.pard.first_sync();
     sim.schedule(first_sync, Event::Sync);
     let first_scale = SimTime::ZERO + sim.world().config.scale_period;
     sim.schedule(first_scale, Event::Scale);
     schedule_faults(&mut sim, &faults);
-    sim.run_to_completion();
+    sim.run_merged(arrivals);
 
     let world = sim.into_world();
     let (active, _, _) = world.requests.status_counts();

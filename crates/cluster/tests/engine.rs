@@ -1,12 +1,12 @@
 //! End-to-end tests of the cluster engine.
 
-use pard_cluster::{run, ClusterConfig, FaultSpec};
+use pard_cluster::{run, ClusterConfig, FaultSpec, RunResult};
 use pard_core::PardConfig;
 use pard_metrics::{DropReason, Outcome};
 use pard_pipeline::AppKind;
 use pard_policies::{make_factory, OcConfig, SystemKind};
 use pard_profile::zoo;
-use pard_sim::SimTime;
+use pard_sim::{MarkovParams, SimDuration, SimTime};
 use pard_workload::{constant, tweet, RateTrace};
 
 fn exec_estimates(app: AppKind) -> Vec<f64> {
@@ -450,4 +450,154 @@ fn scale_down_drains_workers_without_losing_requests() {
         tail_good as f64 > 0.95 * tail_total as f64,
         "tail goodput {tail_good}/{tail_total}"
     );
+}
+
+/// FNV-1a over every record of `result`'s log (id, send time, deadline,
+/// every stage's timestamps, outcome) and every Fig. 13 telemetry sample.
+fn outcome_digest(result: &RunResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |x: u64| {
+        for byte in x.to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for r in result.log.records() {
+        mix(r.id);
+        mix(r.sent.as_micros());
+        mix(r.deadline.as_micros());
+        for s in &r.stages {
+            for x in [
+                s.module as u64,
+                s.worker as u64,
+                s.arrived.as_micros(),
+                s.batched.as_micros(),
+                s.exec_start.as_micros(),
+                s.exec_end.as_micros(),
+                s.batch_size as u64,
+                s.gpu_share.as_micros(),
+            ] {
+                mix(x);
+            }
+        }
+        match r.outcome {
+            Outcome::InFlight => mix(u64::MAX),
+            Outcome::Completed { finished } => mix(finished.as_micros()),
+            Outcome::Dropped { module, at, reason } => {
+                mix(module as u64);
+                mix(at.as_micros());
+                mix(reason.index() as u64);
+            }
+        }
+    }
+    for s in &result.priority_log {
+        mix(s.t.as_micros());
+        mix(s.module as u64);
+        mix(s.load_factor.to_bits());
+        mix(s.epsilon.to_bits());
+        mix(s.mode.map_or(u64::MAX, |m| m as u64));
+    }
+    h
+}
+
+/// Calm, a burst the autoscaler cannot absorb at once, calm again.
+fn burst_trace() -> RateTrace {
+    let mut rates = vec![150.0; 10];
+    rates.extend(vec![420.0; 8]);
+    rates.extend(vec![150.0; 6]);
+    RateTrace::new(rates)
+}
+
+/// Outcome digests of `run`, recorded while arrivals were still
+/// pre-scheduled on the event heap: any change to the order events are
+/// processed in, or to what a handler does with them, moves one.
+#[test]
+fn outcome_digests_are_pinned() {
+    let trace = burst_trace();
+    let mut cells: Vec<(String, RunResult)> = Vec::new();
+    let systems = SystemKind::BASELINES
+        .iter()
+        .map(|&kind| (AppKind::Lv, kind))
+        .chain(
+            SystemKind::BASELINES
+                .iter()
+                .map(|&kind| (AppKind::Da, kind)),
+        )
+        .chain([
+            (AppKind::Lv, SystemKind::PardWcl),
+            (AppKind::Lv, SystemKind::PardBack),
+        ]);
+    for (app, kind) in systems {
+        let name = format!("{}/{}", app.name(), kind.name());
+        cells.push((name, run_system(app, kind, &trace, test_config())));
+    }
+    let faulted = ClusterConfig {
+        faults: vec![
+            FaultSpec::WorkerCrash {
+                module: 0,
+                worker: 0,
+                at: SimTime::from_secs(6),
+            },
+            FaultSpec::SlowWorker {
+                module: 1,
+                worker: 0,
+                factor: 3.0,
+                from: SimTime::from_secs(4),
+                until: SimTime::from_secs(12),
+            },
+            FaultSpec::InterferenceMarkov {
+                module: 2,
+                worker: 0,
+                markov: MarkovParams {
+                    calm: 1.0,
+                    contended: 1.7,
+                    p_enter: 0.25,
+                    p_exit: 0.15,
+                },
+                period: SimDuration::from_millis(500),
+                from: SimTime::from_secs(8),
+                until: SimTime::from_secs(20),
+            },
+        ],
+        ..test_config().with_fixed_workers(vec![2, 2, 2])
+    };
+    cells.push((
+        "tm/PARD faults".into(),
+        run_system(AppKind::Tm, SystemKind::Pard, &trace, faulted),
+    ));
+    let dynamic = ClusterConfig {
+        dynamic_paths: true,
+        ..test_config()
+    };
+    assert!(dynamic.autoscale);
+    cells.push((
+        "da/PARD autoscale+dynamic".into(),
+        run_system(AppKind::Da, SystemKind::Pard, &trace, dynamic),
+    ));
+
+    let expected: [(&str, u64); 12] = [
+        ("lv/PARD", 0x8ad6291df4783885),
+        ("lv/Nexus", 0x2eacd5212f323292),
+        ("lv/Clipper++", 0x8b363c5213e56c97),
+        ("lv/Naive", 0xc052e7c960e49bf4),
+        ("da/PARD", 0xaf7ae079a2bc422d),
+        ("da/Nexus", 0x087d817a8404d61b),
+        ("da/Clipper++", 0xe31c9616025f75a2),
+        ("da/Naive", 0x73cb5c6eedb73fcd),
+        ("lv/PARD-WCL", 0x317596f36f62ec5c),
+        ("lv/PARD-back", 0x61cd3512e97d32a9),
+        ("tm/PARD faults", 0x3f393548e0e79ee0),
+        ("da/PARD autoscale+dynamic", 0xd35ff5441c1f242a),
+    ];
+    let got: Vec<(&str, u64)> = cells
+        .iter()
+        .map(|(name, result)| (name.as_str(), outcome_digest(result)))
+        .collect();
+    for (name, result) in &cells {
+        assert_eq!(result.unfinished, 0, "{name}: requests left in flight");
+        assert!(
+            result.log.drop_count() > 0 || name.ends_with("Naive"),
+            "{name}: no drops"
+        );
+    }
+    assert_eq!(got, expected, "actual: {got:#x?}");
 }

@@ -35,7 +35,12 @@ pub enum WaitSource<'a> {
 /// wait across `sources`, in milliseconds.
 ///
 /// Runtime is `O(draws × sources.len())`, matching the paper's
-/// `O(M(N−k+1))` with `M = draws` (default 10 000, §4.2 footnote 6).
+/// `O(M(N−k+1))` with `M = draws` (default 10 000, §4.2 footnote 6):
+/// the quantile is read by selecting the one order statistic it names,
+/// in expected linear time, not by sorting every draw. Selection and a
+/// full sort return the same value to the bit — no draw is ever `-0.0`
+/// (each sum starts at `+0.0`), so equal values cannot differ in sign —
+/// and a NaN draw still panics.
 /// Returns 0 for an empty source list (the pipeline sink).
 pub fn aggregate_wait_quantile(
     sources: &[WaitSource<'_>],
@@ -64,10 +69,11 @@ pub fn aggregate_wait_quantile(
         }
         sums.push(total);
     }
-    sums.sort_by(|a, b| a.partial_cmp(b).expect("NaN in wait sample"));
     // Index convention matches an empirical inverse CDF.
     let idx = ((lambda * draws as f64) as usize).min(draws - 1);
-    sums[idx]
+    *sums
+        .select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("NaN in wait sample"))
+        .1
 }
 
 /// CDF of the Irwin–Hall distribution: the sum of `n` iid `U[0, 1]`
@@ -217,7 +223,43 @@ mod tests {
         assert!(hi <= 10.0);
     }
 
+    #[test]
+    #[should_panic(expected = "NaN in wait sample")]
+    fn nan_draws_panic() {
+        let nan = [f64::NAN];
+        aggregate_wait_quantile(&[WaitSource::Samples(&nan)], 0.1, 100, &mut DetRng::new(3));
+    }
+
     proptest! {
+        /// Selection reads the very order statistic a full sort would,
+        /// to the bit.
+        #[test]
+        fn selection_matches_the_sorted_draws(
+            samples in proptest::collection::vec(0u32..400, 0..64),
+            d in 0.0f64..80.0,
+            lambda in 0.0f64..1.0,
+            draws in 1usize..3_000,
+            seed in 0u64..1_000,
+        ) {
+            let samples: Vec<f64> = samples.iter().map(|&s| s as f64 * 0.25).collect();
+            let sources = [WaitSource::Samples(&samples), WaitSource::Uniform(d)];
+            let mut rng = DetRng::new(seed);
+            let mut sums: Vec<f64> = (0..draws)
+                .map(|_| {
+                    let sample = if samples.is_empty() {
+                        0.0
+                    } else {
+                        samples[rng.below(samples.len() as u64) as usize]
+                    };
+                    0.0 + sample + rng.f64() * d
+                })
+                .collect();
+            sums.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let expect = sums[((lambda * draws as f64) as usize).min(draws - 1)];
+            let got = aggregate_wait_quantile(&sources, lambda, draws, &mut DetRng::new(seed));
+            prop_assert_eq!(got.to_bits(), expect.to_bits());
+        }
+
         #[test]
         fn mc_quantile_monotone_in_lambda(
             d in 1.0f64..100.0,

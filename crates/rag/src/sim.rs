@@ -502,10 +502,8 @@ pub fn run_rag(workload: &RagWorkload, config: RagConfig) -> RagResult {
         config,
     };
     let mut sim = Simulation::new(world);
-    for q in &workload.queries {
-        sim.schedule(q.sent, Ev::Arrive(q.id));
-    }
-    sim.run_to_completion();
+    // Queries are sorted by send time, so they stream straight in.
+    sim.run_merged(workload.queries.iter().map(|q| (q.sent, Ev::Arrive(q.id))));
     let mut world = sim.into_world();
     // Generate-stage contribution (prefill) per request that reached a
     // first token; the queue wait is already visible in its TTFT.
@@ -586,6 +584,41 @@ mod tests {
         let b = run(RagPolicy::Proactive, 1_000);
         assert_eq!(a.goodput, b.goodput);
         assert_eq!(a.dropped, b.dropped);
+    }
+
+    /// FNV-1a over every count and every stage-latency sample's bits.
+    fn result_digest(r: &RagResult) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let counts = [r.total, r.goodput, r.dropped].into_iter();
+        let samples = [&r.rewrite_ms, &r.retrieve_ms, &r.search_ms, &r.generate_ms]
+            .into_iter()
+            .flatten()
+            .map(|x| x.to_bits());
+        for x in counts
+            .chain(r.drops_per_stage)
+            .map(|c| c as u64)
+            .chain(samples)
+        {
+            for byte in x.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Outcomes recorded while queries were still pre-scheduled on the
+    /// event heap; streaming them must not move one bit.
+    #[test]
+    fn outcomes_are_pinned() {
+        let got: Vec<u64> = RagPolicy::ALL
+            .into_iter()
+            .map(|policy| result_digest(&run(policy, 1_500)))
+            .collect();
+        assert_eq!(
+            got,
+            [0xbe3d48a0f9783223, 0xbb7c1b3664a78302, 0x1bc107a086d561ac],
+            "actual: {got:#x?}"
+        );
     }
 
     #[test]

@@ -12,6 +12,17 @@
 //! * [`Simulation`] / [`World`] — a minimal driver loop.
 //! * [`TokenBucket`] — rate limiting, used by admission-control policies.
 //!
+//! **Merged sources.** A trace-driven run knows every arrival up front,
+//! but putting them all on the heap makes each of the run's events sift
+//! through a trace-deep heap. [`Simulation::run_merged`] instead takes the
+//! arrivals as a time-ordered stream and merges it with the queue, which
+//! then holds only the events in flight. The tie rule keeps the result
+//! identical to pre-scheduling the stream ahead of every queued event: a
+//! stream item goes before a queued event due at the same instant, just
+//! as the lower insertion sequence of a pre-scheduled arrival would have
+//! put it first. [`Simulation::run_to_completion`] is the same loop over
+//! an empty stream.
+//!
 //! The engine is intentionally free of external dependencies: determinism
 //! across platforms and toolchain updates matters more than raw speed for
 //! reproducing the paper's figures, and the hot paths are simple enough to
@@ -106,14 +117,19 @@ impl<W: World> Simulation<W> {
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
             Some(QueueEntry { time, event, .. }) => {
-                debug_assert!(time >= self.now, "event queue went backwards");
-                self.now = time;
-                self.processed += 1;
-                self.world.handle(time, event, &mut self.queue);
+                self.fire(time, event);
                 true
             }
             None => false,
         }
+    }
+
+    /// Advances the clock to `time` and hands `event` to the world.
+    fn fire(&mut self, time: SimTime, event: W::Event) {
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
+        self.processed += 1;
+        self.world.handle(time, event, &mut self.queue);
     }
 
     /// Advances the clock to `t` without processing anything — for
@@ -154,6 +170,33 @@ impl<W: World> Simulation<W> {
 
     /// Runs until the queue is exhausted.
     pub fn run_to_completion(&mut self) {
+        self.run_merged(std::iter::empty());
+    }
+
+    /// Runs `source` — events in non-decreasing time order — merged
+    /// with the queue, until both are exhausted.
+    ///
+    /// The outcome is that of scheduling every source item ahead of
+    /// everything already queued and then running to completion: among
+    /// items due at the same instant the source keeps its own order, and
+    /// a source item goes before any queued event due at its time. The
+    /// heap meanwhile holds only what the world scheduled, so a long
+    /// trace of arrivals costs its items one at a time instead of a
+    /// trace-deep heap under every event of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the source goes backwards in time, or
+    /// starts before the current time.
+    pub fn run_merged(&mut self, source: impl IntoIterator<Item = (SimTime, W::Event)>) {
+        for (time, event) in source {
+            // Strictly earlier only: at equal times the source goes first.
+            while self.queue.peek_time().is_some_and(|queued| queued < time) {
+                self.step();
+            }
+            debug_assert!(time >= self.now, "merged source is not time-ordered");
+            self.fire(time, event);
+        }
         while self.step() {}
     }
 
@@ -239,5 +282,84 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_millis(50));
         sim.run_to_completion();
         assert_eq!(sim.world().seen.len(), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "merged source is not time-ordered")]
+    fn merged_source_must_not_go_backwards() {
+        let mut sim = Simulation::new(Recorder {
+            seen: Vec::new(),
+            chain: 0,
+        });
+        sim.run_merged([(SimTime::from_millis(5), 1), (SimTime::from_millis(4), 2)]);
+    }
+
+    /// A world whose events fan out into zero to two children, some due
+    /// at the very instant of their parent, until `budget` runs out.
+    struct Fanout {
+        seen: Vec<(SimTime, u64)>,
+        budget: u32,
+    }
+
+    impl World for Fanout {
+        type Event = u64;
+
+        fn handle(&mut self, now: SimTime, event: u64, queue: &mut EventQueue<u64>) {
+            self.seen.push((now, event));
+            for c in 0..event % 3 {
+                if self.budget == 0 {
+                    return;
+                }
+                self.budget -= 1;
+                let child = event
+                    .wrapping_mul(0x5851_f42d_4c95_7f2d)
+                    .wrapping_add(c + 1);
+                queue.push(now + SimDuration::from_micros((child >> 40) % 3), child);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Streaming a source is indistinguishable from scheduling all of
+        /// it ahead of the events already queued, ties included.
+        #[test]
+        fn merged_source_matches_prescheduling(
+            gaps in proptest::collection::vec(0u64..3, 0..120),
+            queued in proptest::collection::vec(0u64..200, 0..8),
+            budget in 0u32..400,
+        ) {
+            // Gaps of 0 and 1 µs put many items on one instant, and
+            // children due 0–2 µs after their parent land on them too.
+            let mut t = 0;
+            let source: Vec<(SimTime, u64)> = gaps
+                .iter()
+                .enumerate()
+                .map(|(i, &gap)| {
+                    t += gap;
+                    (SimTime::from_micros(t), 1_000_000 + i as u64)
+                })
+                .collect();
+            let world = || Fanout { seen: Vec::new(), budget };
+
+            let mut reference = Simulation::new(world());
+            for &(at, event) in &source {
+                reference.schedule(at, event);
+            }
+            for &q in &queued {
+                reference.schedule(SimTime::from_micros(q % (t + 1)), q);
+            }
+            reference.run_to_completion();
+
+            let mut merged = Simulation::new(world());
+            for &q in &queued {
+                merged.schedule(SimTime::from_micros(q % (t + 1)), q);
+            }
+            merged.run_merged(source);
+
+            proptest::prop_assert_eq!(&merged.world().seen, &reference.world().seen);
+            proptest::prop_assert_eq!(merged.processed(), reference.processed());
+            proptest::prop_assert_eq!(merged.now(), reference.now());
+        }
     }
 }
