@@ -40,8 +40,7 @@ pub enum FaultSpec {
     /// a seeded mean-reverting random walk over `[from, until)`,
     /// re-drawn every `period` (see [`pard_sim::interference`]). The
     /// trace is a pure function of the cluster seed and the fault's
-    /// index, so the simulated executor and the live scripted-slowdown
-    /// backend inject bit-identical interference.
+    /// index.
     InterferenceWalk {
         /// Module of the interfered worker.
         module: usize,
@@ -77,16 +76,6 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
-    /// Whether this fault is a continuous-interference process (one
-    /// that both backends can inject, unlike crashes and step
-    /// slowdowns, which only the simulator models).
-    pub fn is_interference(&self) -> bool {
-        matches!(
-            self,
-            FaultSpec::InterferenceWalk { .. } | FaultSpec::InterferenceMarkov { .. }
-        )
-    }
-
     /// The `(module, worker)` the fault targets.
     pub fn target(&self) -> (usize, usize) {
         match *self {
@@ -100,8 +89,7 @@ impl FaultSpec {
     /// Materialises the interference schedule for this fault: the
     /// slowdown trace drawn from `DetRng::new(seed)` forked on the
     /// fault's position `index` in [`ClusterConfig::faults`]. `None`
-    /// for non-interference faults. Both backends call exactly this,
-    /// which is what makes their injected interference identical.
+    /// for non-interference faults.
     pub fn slowdown_trace(&self, seed: u64, index: u64) -> Option<SlowdownTrace> {
         let mut rng = DetRng::new(seed).fork(INTERFERENCE_STREAM_BASE + index);
         match *self {
@@ -357,7 +345,6 @@ mod tests {
     #[test]
     fn interference_trace_is_a_pure_function_of_seed_and_index() {
         let fault = walk_fault();
-        assert!(fault.is_interference());
         let a = fault.slowdown_trace(42, 0).expect("interference fault");
         let b = fault.slowdown_trace(42, 0).expect("interference fault");
         assert_eq!(a, b, "same (seed, index), same trace");
@@ -375,7 +362,6 @@ mod tests {
             worker: 0,
             at: SimTime::from_secs(1),
         };
-        assert!(!crash.is_interference());
         assert!(crash.slowdown_trace(42, 0).is_none());
     }
 

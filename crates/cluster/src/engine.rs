@@ -7,7 +7,10 @@
 //! * A worker collects its next batch *while the current batch
 //!   executes* ("right after the previous one begins execution to avoid
 //!   GPU idling"), so a request admitted at `t_b` waits
-//!   `W = t_e − t_b` until the running batch ends at `t_e`.
+//!   `W = t_e − t_b` until the running batch ends at `t_e`. The
+//!   wall-paced executor ([`crate::SimServer::wall_paced`]) forms a
+//!   batch only once its worker is idle instead, so `W` is zero and
+//!   waiting shows up as queueing delay `Q`.
 //! * Drop decisions happen when the policy pops a request for the
 //!   forming batch — the moment all bi-directional information exists.
 //! * Controllers synchronise once per sync period; each module sees the
@@ -141,9 +144,13 @@ pub struct ClusterWorld {
     /// Precomputed interference schedule per fault index (`None` for
     /// step faults): drawn once from `(seed, index)` at construction,
     /// so the factor applied at each change point is a pure function
-    /// of the configuration — and identical to what the live
-    /// scripted-slowdown backend applies for the same spec.
+    /// of the configuration.
     pub(crate) interference: Vec<Option<SlowdownTrace>>,
+    /// Whether a worker forms its next batch only once it is idle, as
+    /// the wall-paced executor does, instead of while the running batch
+    /// executes. Chosen by the executor's constructor, never by
+    /// configuration.
+    pub(crate) idle_formation: bool,
 }
 
 /// Everything a run produces.
@@ -232,6 +239,7 @@ impl ClusterWorld {
             peak_workers: peak,
             recorder: None,
             interference,
+            idle_formation: false,
         }
     }
 
@@ -325,6 +333,7 @@ impl ClusterWorld {
 
     /// The batching loop: fill the forming batch from the queue (making
     /// drop decisions on the way) and start it when the GPU is idle.
+    /// Under idle formation a busy worker leaves its queue alone.
     fn service(&mut self, m: usize, w: usize, now: SimTime, queue: &mut EventQueue<Event>) {
         let mut drops = std::mem::take(&mut self.drops);
         loop {
@@ -334,7 +343,9 @@ impl ClusterWorld {
                 let b = module.batch_size;
                 let d_planned = module.profile.latency(b);
                 let worker = &mut module.workers[w];
-                if !matches!(worker.state, WorkerState::Up | WorkerState::Draining) {
+                if !matches!(worker.state, WorkerState::Up | WorkerState::Draining)
+                    || (self.idle_formation && worker.busy_until.is_some())
+                {
                     break;
                 }
                 let ctx = PopCtx {

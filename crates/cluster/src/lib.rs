@@ -25,5 +25,5 @@ pub use engine::{
     UnknownModelError,
 };
 pub use request::{InFlight, ReqStatus, RequestTable};
-pub use serve::{EdgeSnapshot, SimServer, TerminalEvent};
+pub use serve::{EdgeState, SimServer, TerminalEvent};
 pub use worker::{BatchEntry, Worker, WorkerState};

@@ -102,11 +102,10 @@ pub struct TerminalEvent {
     pub outcome: Outcome,
 }
 
-/// Edge-visible serving state of the simulated cluster — the same
-/// shape a live engine reports, built from the DES worker queues and
-/// the static batch plan.
+/// Point-in-time view of the serving state a gateway needs for edge
+/// admission, built from the worker queues and the static batch plan.
 #[derive(Clone, Debug)]
-pub struct EdgeSnapshot {
+pub struct EdgeState {
     /// Queued requests per module (summed over workers).
     pub queue_depths: Vec<usize>,
     /// Serviceable (`Up`) workers per module, floored at 1.
@@ -149,6 +148,36 @@ impl SimServer {
         config: ClusterConfig,
         workers_per_module: Vec<usize>,
     ) -> SimServer {
+        SimServer::build(spec, profiles, factory, config, workers_per_module, false)
+    }
+
+    /// [`SimServer::new`] for an executor that advances the clock to
+    /// scaled wall time: a worker forms its next batch only once it is
+    /// idle, so batch wait `W` is zero and waiting shows up as queueing
+    /// delay `Q`. Everything else — policies, syncs, faults, scaling —
+    /// is the same state machine.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimServer::new`].
+    pub fn wall_paced(
+        spec: PipelineSpec,
+        profiles: Vec<ModelProfile>,
+        factory: PolicyFactory,
+        config: ClusterConfig,
+        workers_per_module: Vec<usize>,
+    ) -> SimServer {
+        SimServer::build(spec, profiles, factory, config, workers_per_module, true)
+    }
+
+    fn build(
+        spec: PipelineSpec,
+        profiles: Vec<ModelProfile>,
+        factory: PolicyFactory,
+        config: ClusterConfig,
+        workers_per_module: Vec<usize>,
+        idle_formation: bool,
+    ) -> SimServer {
         config.validate();
         spec.validate().expect("invalid pipeline spec");
         assert_eq!(profiles.len(), spec.modules.len(), "one profile per module");
@@ -172,6 +201,7 @@ impl SimServer {
         // a step costs its own terminals, not a scan of everything in
         // flight (see `collect_terminals`).
         world.terminals = Some(Vec::new());
+        world.idle_formation = idle_formation;
         let mut sim = Simulation::new(world);
         sim.schedule(first_sync, Event::Sync);
         sim.schedule(SimTime::ZERO + scale_period, Event::Scale);
@@ -198,6 +228,12 @@ impl SimServer {
     /// The pipeline specification being served.
     pub fn spec(&self) -> &PipelineSpec {
         &self.sim.world().spec
+    }
+
+    /// When the next queued event is due, if any — how long a caller
+    /// that follows a clock of its own may sleep.
+    pub fn next_event(&self) -> Option<SimTime> {
+        self.sim.peek_time()
     }
 
     /// Number of submitted requests not yet terminal.
@@ -340,7 +376,7 @@ impl SimServer {
     }
 
     /// Snapshot of the state edge admission control needs.
-    pub fn edge_snapshot(&self) -> EdgeSnapshot {
+    pub fn edge_state(&self) -> EdgeState {
         let w = self.sim.world();
         let mut queue_depths = Vec::with_capacity(w.modules.len());
         let mut workers = Vec::with_capacity(w.modules.len());
@@ -358,7 +394,7 @@ impl SimServer {
             batch_sizes.push(m.batch_size);
             exec_ms.push(m.profile.latency_ms(m.batch_size));
         }
-        EdgeSnapshot {
+        EdgeState {
             queue_depths,
             workers,
             batch_sizes,
@@ -877,8 +913,72 @@ mod tests {
             }
             s.advance_to(SimTime::from_millis(100));
             assert_eq!((s.unresolved(), s.resident()), (0, 0));
-            assert!(s.edge_snapshot().queue_depths[2] > 0);
+            assert!(s.edge_state().queue_depths[2] > 0);
         }
+    }
+
+    /// A wall-paced executor stamps each request when the wall clock
+    /// says, then runs the same state machine: given the stamps, what
+    /// happens is fixed. One recorded stamp list — calm, then a burst
+    /// that overloads the `da` diamond, several stamps sharing a
+    /// microsecond — fed twice gives the same terminals and the same
+    /// flight record, and every batch starts the moment it forms.
+    #[test]
+    fn wall_paced_outcomes_depend_only_on_the_stamps() {
+        let mut rng = pard_sim::DetRng::new(3);
+        let mut t = 0;
+        let stamps: Vec<SimTime> = (0..800)
+            .map(|i| {
+                t += rng.below(if i < 400 { 8_000 } else { 1_200 });
+                SimTime::from_micros(t)
+            })
+            .collect();
+        let run = || {
+            let spec = AppKind::Da.pipeline();
+            let profiles = crate::engine::resolve_profiles(&spec).expect("builtin models in zoo");
+            let mut s = SimServer::wall_paced(
+                spec,
+                profiles,
+                Box::new(|_| Box::new(PardPolicy::new(PardPolicyConfig::pard()))),
+                config_for(AppKind::Da, 5),
+                vec![2; 4],
+            );
+            let recorder = std::sync::Arc::new(pard_obs::FlightRecorder::new());
+            s.set_recorder(recorder.clone());
+            let mut terminals = Vec::new();
+            for &at in &stamps {
+                terminals.extend(s.advance_to(at));
+                s.submit(None);
+            }
+            terminals.extend(s.drain(SimDuration::from_secs(60)));
+            let terminals: Vec<_> = terminals
+                .iter()
+                .map(|t| (t.id, t.sent, t.deadline, t.outcome))
+                .collect();
+            (terminals, recorder.dump())
+        };
+        let (terminals, record) = run();
+        assert_eq!(terminals.len(), stamps.len());
+        assert!(terminals
+            .iter()
+            .any(|t| matches!(t.3, Outcome::Completed { .. })));
+        assert!(terminals
+            .iter()
+            .any(|t| matches!(t.3, Outcome::Dropped { .. })));
+        assert_eq!(run(), (terminals, record.clone()));
+        let mut stages = 0;
+        for event in &record {
+            if let pard_obs::ObsKind::Stage {
+                batched_us,
+                exec_start_us,
+                ..
+            } = event.kind
+            {
+                assert_eq!(batched_us, exec_start_us, "{event:?}");
+                stages += 1;
+            }
+        }
+        assert!(stages > stamps.len(), "{stages} stages");
     }
 
     proptest! {

@@ -3,7 +3,7 @@
 //! A [`WorkerPolicy`] owns one worker's request queue and makes the two
 //! decisions the paper separates (§3.3): *which* request to consider
 //! next (ordering) and *whether* to drop it (the drop rule). The cluster
-//! simulator and the live runtime drive policies through this trait.
+//! simulator drives policies through this trait.
 //!
 //! [`PardPolicy`] is the full system of §4 with every design knob
 //! exposed, so that the Table 1 ablations are *configurations of the
@@ -99,8 +99,8 @@ pub struct SyncUpdate {
 
 /// A per-worker request queue plus dropping discipline.
 ///
-/// Policies are `Send` so the live runtime can move them into worker
-/// threads; implementations hold plain data.
+/// Policies are `Send` so an engine can move them onto the thread that
+/// drives it; implementations hold plain data.
 pub trait WorkerPolicy: Send {
     /// Short identifier used in reports (e.g. `"pard"`, `"nexus"`).
     fn name(&self) -> &'static str;

@@ -6,24 +6,22 @@ use pard_cluster::{ClusterConfig, FaultSpec, SimServer, UnknownModelError};
 use pard_core::{PardPolicy, PardPolicyConfig, PolicyFactory};
 use pard_pipeline::{PipelineSpec, SpecError};
 use pard_profile::ModelProfile;
-use pard_runtime::{
-    BackendFactory, LiveCluster, LiveConfig, ScriptedSlowdownBackend, SleepBackend,
-};
-use pard_sim::{SimDuration, SlowdownTrace};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use pard_sim::SimDuration;
 
 use crate::handle::EngineHandle;
-use crate::live::LiveEngine;
+use crate::paced::{LiveConfig, PacedEngine};
 use crate::sim::SimEngine;
 
-/// Which execution serves the pipeline.
+/// Which clock drives the pipeline. Both run the same simulated
+/// cluster; they differ in who moves its virtual time.
 pub enum Backend {
-    /// The live threaded runtime ([`LiveCluster`]) with sleep backends
-    /// profiled from the model zoo.
+    /// The wall clock, scaled ([`PacedEngine`]): requests are stamped
+    /// on arrival and answered when virtual time reaches their
+    /// outcome, as a live deployment would answer them.
     Live(LiveConfig),
-    /// The discrete-event simulator behind a stepped virtual clock
-    /// ([`SimServer`]); deterministic from the submit order and
-    /// `config.seed`.
+    /// The caller ([`SimEngine`] over a [`SimServer`]): virtual time
+    /// moves only when pumped or advanced, so outcomes are
+    /// deterministic from the submit order and `config.seed`.
     Sim(ClusterConfig),
 }
 
@@ -84,9 +82,8 @@ fn check_worker_counts(workers: &[usize], modules: usize) -> Result<(), EngineEr
 /// windows — checked at build time with typed errors, because a fault
 /// aimed at a worker that never exists is a silent no-op at fire time
 /// (the handler ignores unknown workers). `pinned_workers` is `Some`
-/// when the pool size is knowable now (the live runtime, or the
-/// simulator without autoscaling); growing pools can only have their
-/// module index checked.
+/// when the pool size is knowable now (without autoscaling); growing
+/// pools can only have their module index checked.
 fn check_fault_targets(
     faults: &[FaultSpec],
     modules: usize,
@@ -144,7 +141,6 @@ pub struct EngineBuilder {
     policy: Option<PolicyFactory>,
     workers_per_module: Option<Vec<usize>>,
     faults: Option<Vec<FaultSpec>>,
-    fault_seed: Option<u64>,
     autoscale: Option<bool>,
     worker_cap: Option<usize>,
     cold_start: Option<SimDuration>,
@@ -163,7 +159,6 @@ impl EngineBuilder {
             policy: None,
             workers_per_module: None,
             faults: None,
-            fault_seed: None,
             autoscale: None,
             worker_cap: None,
             cold_start: None,
@@ -190,87 +185,66 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides per-module worker counts for either backend (defaults:
-    /// the live config's own vector; 2 per module for the simulator
-    /// unless `ClusterConfig::fixed_workers` says otherwise).
+    /// Overrides per-module worker counts (default: 2 per module
+    /// unless `ClusterConfig::fixed_workers` says otherwise). Pins the
+    /// pool, as [`ClusterConfig::with_fixed_workers`] does.
     pub fn with_workers(mut self, workers_per_module: Vec<usize>) -> EngineBuilder {
         self.workers_per_module = Some(workers_per_module);
         self
     }
 
     /// Injects faults that fire when virtual time passes their
-    /// timestamps. Discrete faults (worker crashes, step slowdowns)
-    /// are simulator-only — [`EngineBuilder::build_live`] reports a
-    /// typed [`EngineError::Config`] for them. Continuous interference
-    /// faults ([`FaultSpec::InterferenceWalk`] /
-    /// [`FaultSpec::InterferenceMarkov`]) work on both backends: the
-    /// simulator steps worker slowdown through the generated trace,
-    /// the live runtime mirrors the *same* trace through a
-    /// [`ScriptedSlowdownBackend`] wrapper.
+    /// timestamps. Interference traces are drawn from
+    /// `ClusterConfig::seed`.
     pub fn with_faults(mut self, faults: Vec<FaultSpec>) -> EngineBuilder {
         self.faults = Some(faults);
         self
     }
 
-    /// Seed for generating interference slowdown traces on the live
-    /// backend (defaults to 0). The simulator derives its traces from
-    /// `ClusterConfig::seed`; pass the same value here and the two
-    /// backends inject bit-identical interference schedules.
-    pub fn with_fault_seed(mut self, seed: u64) -> EngineBuilder {
-        self.fault_seed = Some(seed);
-        self
-    }
-
-    /// Enables or disables the runtime scaling engine (simulator
-    /// backend only).
+    /// Enables or disables the runtime scaling engine.
     pub fn with_autoscale(mut self, autoscale: bool) -> EngineBuilder {
         self.autoscale = Some(autoscale);
         self
     }
 
     /// Caps the total worker budget across modules. Takes effect only
-    /// under autoscaling (simulator backend); inert otherwise.
+    /// under autoscaling; inert otherwise.
     pub fn with_worker_cap(mut self, worker_cap: usize) -> EngineBuilder {
         self.worker_cap = Some(worker_cap);
         self
     }
 
     /// Sets the model cold-start delay of newly provisioned workers.
-    /// Takes effect only under autoscaling (simulator backend); inert
-    /// otherwise.
+    /// Takes effect only under autoscaling; inert otherwise.
     pub fn with_cold_start(mut self, cold_start: SimDuration) -> EngineBuilder {
         self.cold_start = Some(cold_start);
         self
     }
 
-    /// Sets the log-normal σ of execution-duration jitter; 0 disables
-    /// (simulator backend only).
+    /// Sets the log-normal σ of execution-duration jitter; 0 disables.
     pub fn with_exec_jitter(mut self, sigma: f64) -> EngineBuilder {
         self.exec_jitter_sigma = Some(sigma);
         self
     }
 
-    /// Sets the one-way client/module network delay (simulator backend
-    /// only).
+    /// Sets the one-way client/module network delay.
     pub fn with_net_delay(mut self, net_delay: SimDuration) -> EngineBuilder {
         self.net_delay = Some(net_delay);
         self
     }
 
-    /// Sizes the simulated engine's flight-recorder ring (entries,
-    /// rounded up to a power of two); `0` disables recording entirely.
-    /// The default ring eagerly allocates ~65k slots, which dominates
-    /// engine construction when thousands of short-lived engines are
-    /// built — a parallel sweep disables it per cell. Simulator backend
-    /// only; inert on the live backend (which exposes no recorder).
+    /// Sizes the engine's flight-recorder ring (entries, rounded up to
+    /// a power of two); `0` disables recording entirely. The default
+    /// ring eagerly allocates ~65k slots, which dominates engine
+    /// construction when thousands of short-lived engines are built —
+    /// a parallel sweep disables it per cell.
     pub fn with_recorder_capacity(mut self, capacity: usize) -> EngineBuilder {
         self.recorder_capacity = Some(capacity);
         self
     }
 
     /// Builds the engine behind the trait — the form front-ends like
-    /// the gateway consume. For backend-specific surface (e.g.
-    /// [`pard_runtime::LiveCluster::run_open_loop`]) use
+    /// the gateway consume. For the concrete types use
     /// [`EngineBuilder::build_live`] / [`EngineBuilder::build_sim`].
     pub fn build(self, backend: Backend) -> Result<Box<dyn EngineHandle>, EngineError> {
         match backend {
@@ -279,103 +253,37 @@ impl EngineBuilder {
         }
     }
 
-    /// Builds the live threaded engine with its concrete type exposed.
-    pub fn build_live(self, mut config: LiveConfig) -> Result<LiveEngine, EngineError> {
-        // Cluster-dynamics knobs model simulator-only machinery; a
-        // silently ignored fault schedule would be worse than an error.
-        // Only *active* requests are rejected — explicitly disabling a
-        // knob (no faults, autoscale off, zero jitter/delay) asks for
-        // exactly what the live runtime already does, so
-        // backend-parametric callers can configure one builder for
-        // either backend. Continuous interference faults are the
-        // exception: they have a live mirror (the scripted-slowdown
-        // backend wrapper), so only *discrete* faults are rejected.
-        // `worker_cap`/`cold_start` only take effect under
-        // autoscaling, which is itself rejected when enabled.
-        for (active, knob) in [
-            (
-                self.faults
-                    .as_ref()
-                    .is_some_and(|f| f.iter().any(|fault| !fault.is_interference())),
-                "discrete fault injection (crash / step slowdown)",
-            ),
-            (self.autoscale == Some(true), "autoscaling"),
-            (
-                self.exec_jitter_sigma.is_some_and(|sigma| sigma > 0.0),
-                "execution jitter",
-            ),
-            (
-                self.net_delay.is_some_and(|delay| !delay.is_zero()),
-                "network delay",
-            ),
-        ] {
-            if active {
-                return Err(EngineError::Config(format!(
-                    "{knob} requires Backend::Sim; the live runtime does not model it"
-                )));
-            }
+    /// Builds the wall-paced engine with its concrete type exposed.
+    pub fn build_live(self, config: LiveConfig) -> Result<PacedEngine, EngineError> {
+        if !(config.time_scale.is_finite() && config.time_scale > 0.0) {
+            return Err(EngineError::Config(format!(
+                "time scale {} must be finite and positive",
+                config.time_scale
+            )));
         }
-        let faults = self.faults.clone().unwrap_or_default();
-        let fault_seed = self.fault_seed.unwrap_or(0);
-        let workers_override = self.workers_per_module.clone();
-        let (spec, profiles, policy) = self.resolve()?;
-        if let Some(workers) = workers_override {
-            config.workers_per_module = workers;
-        }
-        check_worker_counts(&config.workers_per_module, spec.modules.len())?;
-        check_fault_targets(
-            &faults,
-            spec.modules.len(),
-            Some(&config.workers_per_module),
-        )?;
-        for fault in &faults {
-            fault.validate_params();
-        }
-        // The interference traces, keyed by (module, worker) target —
-        // the same `slowdown_trace(seed, index)` pure function the
-        // simulator folds into its event schedule.
-        let traces: Vec<((usize, usize), SlowdownTrace)> = faults
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| {
-                f.slowdown_trace(fault_seed, i as u64)
-                    .map(|t| (f.target(), t))
-            })
-            .collect();
-        let scale = config.time_scale;
-        let backend_profiles = profiles.clone();
-        let factory: BackendFactory = if traces.is_empty() {
-            Box::new(move |m, _| Box::new(SleepBackend::new(backend_profiles[m].clone(), scale)))
-        } else {
-            // The factory only receives the module index; worker
-            // indices are recovered by counting — `LiveCluster::start`
-            // invokes it sequentially, worker-minor within each module.
-            let next_worker: Vec<AtomicUsize> = (0..spec.modules.len())
-                .map(|_| AtomicUsize::new(0))
-                .collect();
-            Box::new(move |m, clock| {
-                let w = next_worker[m].fetch_add(1, Ordering::Relaxed);
-                let inner: Box<dyn pard_runtime::InferenceBackend> =
-                    Box::new(SleepBackend::new(backend_profiles[m].clone(), scale));
-                let mine: Vec<SlowdownTrace> = traces
-                    .iter()
-                    .filter(|(target, _)| *target == (m, w))
-                    .map(|(_, t)| t.clone())
-                    .collect();
-                if mine.is_empty() {
-                    inner
-                } else {
-                    Box::new(ScriptedSlowdownBackend::new(inner, mine, clock.clone()))
-                }
-            })
-        };
-        let cluster = LiveCluster::start(spec, profiles, policy, factory, config);
-        Ok(LiveEngine::new(cluster))
+        let engine = self.build_engine(config.cluster, SimServer::wall_paced)?;
+        Ok(PacedEngine::start(engine, config.time_scale))
     }
 
     /// Builds the stepped simulator engine with its concrete type
     /// exposed.
-    pub fn build_sim(self, mut config: ClusterConfig) -> Result<SimEngine, EngineError> {
+    pub fn build_sim(self, config: ClusterConfig) -> Result<SimEngine, EngineError> {
+        self.build_engine(config, SimServer::new)
+    }
+
+    /// Folds this [`EngineBuilder`]'s overrides into `config`, checks
+    /// it, and wraps the server `new_server` builds.
+    fn build_engine(
+        self,
+        mut config: ClusterConfig,
+        new_server: fn(
+            PipelineSpec,
+            Vec<ModelProfile>,
+            PolicyFactory,
+            ClusterConfig,
+            Vec<usize>,
+        ) -> SimServer,
+    ) -> Result<SimEngine, EngineError> {
         let workers_override = self.workers_per_module.clone();
         let recorder_capacity = self
             .recorder_capacity
@@ -426,7 +334,7 @@ impl EngineBuilder {
             spec.modules.len(),
             (!config.autoscale).then_some(workers.as_slice()),
         )?;
-        let server = SimServer::new(spec, profiles, policy, config, workers);
+        let server = new_server(spec, profiles, policy, config, workers);
         Ok(SimEngine::with_recorder_capacity(server, recorder_capacity))
     }
 
@@ -498,42 +406,72 @@ mod tests {
     fn live_builds_reject_worker_shape_errors_with_typed_errors() {
         let short = EngineBuilder::for_app(AppKind::Tm)
             .with_workers(vec![2])
-            .build_live(pard_runtime::LiveConfig::compressed(10.0, 3, 2))
+            .build_live(LiveConfig::compressed(10.0, 3, 2))
             .err();
         assert!(matches!(short, Some(EngineError::Config(_))), "{short:?}");
         let zero = EngineBuilder::for_app(AppKind::Tm)
             .with_workers(vec![2, 0, 2])
-            .build_live(pard_runtime::LiveConfig::compressed(10.0, 3, 2))
+            .build_live(LiveConfig::compressed(10.0, 3, 2))
             .err();
         assert!(matches!(zero, Some(EngineError::Config(_))), "{zero:?}");
     }
 
     #[test]
-    fn sim_only_dynamics_are_rejected_on_the_live_backend() {
-        let result = EngineBuilder::for_app(AppKind::Tm)
+    fn crash_and_autoscale_serve_on_the_live_backend() {
+        // The wall-paced engine runs the simulator's state machine, so a
+        // worker crash and autoscaling serve on it too — and every
+        // request is still answered exactly once.
+        use crate::handle::{EngineHandle, SubmitSpec};
+        let engine = EngineBuilder::for_app(AppKind::Tm)
             .with_faults(vec![FaultSpec::WorkerCrash {
                 module: 0,
                 worker: 0,
-                at: SimTime::from_secs(1),
+                at: SimTime::from_millis(500),
             }])
-            .build_live(pard_runtime::LiveConfig::compressed(10.0, 3, 2));
-        match result {
-            Err(EngineError::Config(message)) => {
-                assert!(message.contains("Backend::Sim"), "{message}")
-            }
-            other => panic!("expected Config error, got {:?}", other.map(|_| ())),
+            .with_autoscale(true)
+            .with_cold_start(SimDuration::from_millis(200))
+            .build_live(LiveConfig::compressed(50.0, 3, 2))
+            .expect("crash and autoscale build on live");
+        let (tx, rx) = std::sync::mpsc::channel();
+        engine.set_completion_sink(tx);
+        // 200 requests over ~3 virtual seconds, across the crash and a
+        // scaling evaluation.
+        let ids: Vec<u64> = (0..200)
+            .map(|_| {
+                std::thread::sleep(std::time::Duration::from_micros(300));
+                engine.submit(SubmitSpec::default())
+            })
+            .collect();
+        let totals = engine.drain(SimDuration::from_secs(30));
+        let mut answers = std::collections::HashMap::new();
+        for completion in rx.try_iter() {
+            *answers.entry(completion.id).or_insert(0) += 1;
         }
-        // Explicitly *disabled* knobs describe what the live runtime
-        // already does, so a backend-parametric configuration builds.
-        let disabled = EngineBuilder::for_app(AppKind::Tm)
-            .with_faults(Vec::new())
-            .with_autoscale(false)
-            .with_worker_cap(8)
-            .with_cold_start(SimDuration::from_secs(4))
-            .with_exec_jitter(0.0)
-            .with_net_delay(SimDuration::ZERO)
-            .build_live(pard_runtime::LiveConfig::compressed(10.0, 3, 2));
-        assert!(disabled.is_ok(), "{:?}", disabled.err());
+        assert!(
+            ids.iter().all(|id| answers.get(id) == Some(&1)),
+            "{answers:?}"
+        );
+        assert_eq!(answers.len(), ids.len());
+        assert_eq!(totals.requests, 200);
+        assert!(totals.goodput > 0, "{totals:?}");
+    }
+
+    #[test]
+    fn rejects_zero_scale() {
+        for time_scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = EngineBuilder::for_app(AppKind::Tm)
+                .build_live(LiveConfig {
+                    time_scale,
+                    ..LiveConfig::compressed(1.0, 3, 2)
+                })
+                .err();
+            match err {
+                Some(EngineError::Config(message)) => {
+                    assert!(message.contains("time scale"), "{message}")
+                }
+                other => panic!("expected a Config error for {time_scale}, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -615,25 +553,22 @@ mod tests {
             from: SimTime::from_secs(1),
             until: SimTime::from_secs(3),
         };
-        // The live runtime mirrors interference through the scripted
-        // backend wrapper instead of rejecting it like discrete faults.
         let live = EngineBuilder::for_app(AppKind::Tm)
             .with_faults(vec![walk()])
-            .with_fault_seed(7)
-            .build_live(pard_runtime::LiveConfig::compressed(50.0, 3, 2));
+            .build_live(LiveConfig::compressed(50.0, 3, 2));
         assert!(live.is_ok(), "{:?}", live.err().map(|e| e.to_string()));
         let sim = EngineBuilder::for_app(AppKind::Tm)
             .with_faults(vec![walk()])
             .build_sim(ClusterConfig::default());
         assert!(sim.is_ok());
-        // Shared target validation applies to the live path too.
+        // Target validation applies to the live path too.
         let mut bad = walk();
         if let FaultSpec::InterferenceWalk { worker, .. } = &mut bad {
             *worker = 9;
         }
         let e = EngineBuilder::for_app(AppKind::Tm)
             .with_faults(vec![bad])
-            .build_live(pard_runtime::LiveConfig::compressed(50.0, 3, 2))
+            .build_live(LiveConfig::compressed(50.0, 3, 2))
             .err();
         match e {
             Some(EngineError::Config(message)) => {
@@ -645,13 +580,10 @@ mod tests {
 
     #[test]
     fn dag_pipelines_build_on_the_live_backend() {
-        // The `da` split/merge app used to be rejected with a dedicated
-        // NotAChain error; the live runtime now executes any valid
-        // shape.
         use crate::handle::EngineHandle;
         let engine = EngineBuilder::for_app(AppKind::Da)
-            .build_live(pard_runtime::LiveConfig::compressed(20.0, 4, 1))
-            .expect("the live runtime serves DAGs");
+            .build_live(LiveConfig::compressed(20.0, 4, 1))
+            .expect("the live backend serves DAGs");
         assert_eq!(engine.spec().name, "da");
         assert!(!engine.spec().is_chain());
         let _ = engine.drain(SimDuration::from_secs(1));
@@ -660,13 +592,12 @@ mod tests {
     #[test]
     fn invalid_specs_still_get_typed_errors_on_live() {
         // Genuinely invalid shapes (here: two sources) stay typed
-        // errors — removing the chain restriction must not let them
-        // through to a panic deep in the runtime.
+        // errors, not a panic deep in the cluster.
         let mut spec = AppKind::Da.pipeline();
         spec.modules[0].subs.retain(|&s| s != 1);
         spec.modules[1].pres.clear();
         let err = EngineBuilder::new(spec)
-            .build_live(pard_runtime::LiveConfig::compressed(20.0, 4, 1))
+            .build_live(LiveConfig::compressed(20.0, 4, 1))
             .err();
         assert!(matches!(err, Some(EngineError::InvalidSpec(_))), "{err:?}");
     }

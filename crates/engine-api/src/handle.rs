@@ -4,16 +4,47 @@
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use pard_metrics::ServedTotals;
+use pard_cluster::EdgeState;
+use pard_metrics::{Outcome, ServedTotals};
 use pard_obs::FlightRecorder;
 use pard_pipeline::PipelineSpec;
-use pard_runtime::{Completion, EdgeState};
 use pard_sim::{SimDuration, SimTime};
 
 /// Engine-assigned request identifier, unique for the lifetime of the
 /// engine. Travels on the wire as a JSON number, so engines keep ids
 /// within f64's exact-integer range.
 pub type RequestId = u64;
+
+/// Terminal-state notification delivered to the completion sink the
+/// moment a request resolves (completes or is dropped).
+#[derive(Clone, Copy, Debug)]
+pub struct Completion {
+    /// The id [`EngineHandle::submit`] returned.
+    pub id: RequestId,
+    /// The caller tag from [`SubmitSpec`].
+    pub tag: u64,
+    /// Virtual submit time.
+    pub sent: SimTime,
+    /// Absolute virtual deadline.
+    pub deadline: SimTime,
+    /// Terminal outcome (never [`Outcome::InFlight`]).
+    pub outcome: Outcome,
+}
+
+impl Completion {
+    /// Whether the request completed within its SLO.
+    pub fn within_slo(&self) -> bool {
+        matches!(self.outcome, Outcome::Completed { finished } if finished <= self.deadline)
+    }
+
+    /// End-to-end latency for completed requests.
+    pub fn latency(&self) -> Option<SimDuration> {
+        match self.outcome {
+            Outcome::Completed { finished } => Some(finished.saturating_since(self.sent)),
+            _ => None,
+        }
+    }
+}
 
 /// Per-request submission parameters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -27,8 +58,9 @@ pub struct SubmitSpec {
     /// pumping) before stamping the request. `None` marks ordinary
     /// traffic and *releases* any replay gate — otherwise one replay
     /// interaction would leave the clock gated and starve every later
-    /// plain request, whose events always lie beyond the gate. Live
-    /// engines ignore the field.
+    /// plain request, whose events always lie beyond the gate. The
+    /// wall-paced engine stamps every request at wall-clock time and
+    /// ignores the field.
     pub at: Option<SimTime>,
 }
 
@@ -62,8 +94,8 @@ pub trait EngineHandle: Send + Sync {
     /// The pipeline specification being served.
     fn spec(&self) -> &PipelineSpec;
 
-    /// Current virtual time. Live engines derive it from the wall
-    /// clock; simulated engines freeze it while idle.
+    /// Current virtual time. The wall-paced engine reads it off the
+    /// scaled wall clock; the stepped engine freezes it while idle.
     fn now(&self) -> SimTime;
 
     /// Submits one request; returns its id. The terminal state arrives
@@ -83,8 +115,8 @@ pub trait EngineHandle: Send + Sync {
     /// [`EngineHandle::drain`]), on the caller's thread, before the
     /// call returns: the caller can empty the channel right after the
     /// call, and no thread has to wait on it. A self-driving engine
-    /// sends from threads of its own whenever work resolves, so its
-    /// receiver needs a thread blocked on it.
+    /// also sends from a thread of its own whenever its clock resolves
+    /// work, so its receiver needs a thread blocked on it.
     fn set_completion_sink(&self, sink: Sender<Completion>);
 
     /// Whether this engine's virtual time only advances when driven
@@ -114,7 +146,7 @@ pub trait EngineHandle: Send + Sync {
     /// a pure function of the schedule and the seed (see
     /// [`pard_cluster::SimServer::advance_to`]). Calls must use
     /// non-decreasing `t`. Returns `false` on engines whose clock
-    /// cannot be steered (the live runtime), which ignore the call.
+    /// cannot be steered (the wall-paced engine), which ignore the call.
     fn advance_to(&self, _t: SimTime) -> bool {
         false
     }
@@ -129,22 +161,20 @@ pub trait EngineHandle: Send + Sync {
     ///
     /// Totals, not a log: a serving engine answers each request once,
     /// on the completion sink, and is free to forget it afterwards —
-    /// the stepped simulator does, which is what keeps a long-lived
+    /// both shipped engines do, which is what keeps a long-lived
     /// server's memory at its in-flight span (see
     /// [`pard_cluster::SimServer`]). A caller that wants per-request
     /// records reads the sink or [`EngineHandle::telemetry`]; the
-    /// trace-driven [`pard_cluster::run`] and
-    /// [`pard_runtime::LiveCluster::finish`] still return full logs.
+    /// trace-driven [`pard_cluster::run`] still returns a full log.
     ///
-    /// Call it once, last. A repeated call resolves nothing further;
-    /// the stepped simulator reports the same totals again, the live
-    /// runtime (whose log the first call consumed) reports zeros.
+    /// Call it once, last. A repeated call resolves nothing further
+    /// and reports the same totals again.
     fn drain(&self, limit: SimDuration) -> ServedTotals;
 
     /// The engine's flight recorder, if it records lifecycle events.
     ///
-    /// Both shipped engines (sim and live) record by default with the
-    /// same event vocabulary and clocks, so a front-end can expose one
+    /// Both shipped engines (stepped and wall-paced) record by default
+    /// with the same event vocabulary and clocks, so a front-end can expose one
     /// `/flightrecord` endpoint — and a harness can explain a diverging
     /// golden — without caring which engine is behind the handle. The
     /// front-end also records its *edge* events (admission decisions

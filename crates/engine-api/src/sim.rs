@@ -7,14 +7,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pard_cluster::{SimServer, TerminalEvent};
+use pard_cluster::{EdgeState, SimServer, TerminalEvent};
 use pard_metrics::ServedTotals;
 use pard_obs::FlightRecorder;
 use pard_pipeline::PipelineSpec;
-use pard_runtime::{Completion, EdgeState};
 use pard_sim::{SimDuration, SimTime};
 
-use crate::handle::{EngineHandle, RequestId, SubmitSpec};
+use crate::handle::{Completion, EngineHandle, RequestId, SubmitSpec};
 
 /// Events processed per [`EngineHandle::pump`] call — bounds how long
 /// the simulator lock is held while other threads want to submit.
@@ -127,6 +126,12 @@ impl SimEngine {
         self.inner.lock().server.resident()
     }
 
+    /// When the simulator's next queued event is due (see
+    /// [`SimServer::next_event`]).
+    pub(crate) fn next_event(&self) -> Option<SimTime> {
+        self.inner.lock().server.next_event()
+    }
+
     /// Publishes the server's clock to the lock-free shadow; call with
     /// the inner lock held, after any operation that may move time.
     fn publish_now(&self, inner: &Inner) {
@@ -167,14 +172,7 @@ impl EngineHandle for SimEngine {
     }
 
     fn edge_state(&self) -> EdgeState {
-        let snapshot = self.inner.lock().server.edge_snapshot();
-        EdgeState {
-            queue_depths: snapshot.queue_depths,
-            workers: snapshot.workers,
-            batch_sizes: snapshot.batch_sizes,
-            exec_ms: snapshot.exec_ms,
-            slo: snapshot.slo,
-        }
+        self.inner.lock().server.edge_state()
     }
 
     fn set_completion_sink(&self, sink: Sender<Completion>) {

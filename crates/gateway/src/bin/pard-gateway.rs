@@ -1,10 +1,10 @@
 //! The PARD serving gateway.
 //!
 //! ```sh
-//! # Live threaded runtime (any pipeline shape, DAG split/merge
-//! # included):
+//! # Live backend: the simulated cluster on the wall clock, compressed
+//! # --scale times (any pipeline shape, DAG split/merge included):
 //! pard-gateway --app da --backend live --addr 127.0.0.1:7311 --metrics 127.0.0.1:7312 \
-//!              --workers 2 --scale 1 [--duration 30]
+//!              --workers 2 --scale 1 [--seed 42] [--duration 30]
 //!
 //! # Deterministic simulator backend (closed-loop runs reproduce
 //! # exactly from --seed and the request order):
@@ -199,19 +199,22 @@ fn main() {
         let modules = spec.modules.len();
         let name = spec.name.clone();
         let slo = spec.slo;
+        let cluster = ClusterConfig::default()
+            .with_seed(seed)
+            .with_fixed_workers(vec![workers; modules])
+            .with_pard(pard_core::PardConfig::default().with_mc_draws(1_000));
         let backend = match backend.as_str() {
+            // The live serving model: no modelled network delay or
+            // execution jitter; arrival stamps come from the wall clock.
             "live" => Backend::Live(LiveConfig {
                 time_scale: scale,
-                pard: pard_core::PardConfig::default().with_mc_draws(1_000),
-                workers_per_module: vec![workers; modules],
-                headroom: 2.0,
+                cluster: ClusterConfig {
+                    net_delay: pard_sim::SimDuration::ZERO,
+                    exec_jitter_sigma: 0.0,
+                    ..cluster
+                },
             }),
-            _ => Backend::Sim(
-                ClusterConfig::default()
-                    .with_seed(seed)
-                    .with_fixed_workers(vec![workers; modules])
-                    .with_pard(pard_core::PardConfig::default().with_mc_draws(1_000)),
-            ),
+            _ => Backend::Sim(cluster),
         };
         let engine = EngineBuilder::new(spec)
             .build(backend)

@@ -3,8 +3,8 @@
 //! The paper's goodput argument (§4, Eq. 3) pays off most when the drop
 //! decision happens *before* a request consumes any pipeline resources.
 //! This crate moves that decision to the serving edge: a multi-threaded
-//! TCP gateway serves any [`pard_engine_api::EngineHandle`] — the live
-//! threaded runtime or the deterministic simulator, built by
+//! TCP gateway serves any [`pard_engine_api::EngineHandle`] — the
+//! simulated cluster on a wall-paced or a stepped clock, built by
 //! [`pard_engine_api::EngineBuilder`] — behind a versioned
 //! newline-delimited JSON protocol ([`wire`], v2) and runs PARD's
 //! proactive check ([`admission`], built on

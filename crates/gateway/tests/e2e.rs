@@ -323,7 +323,7 @@ fn same_client_scenario_matches_across_backends() {
 fn live_da_engine() -> Box<dyn EngineHandle> {
     EngineBuilder::for_app(AppKind::Da)
         .build(Backend::Live(LiveConfig::compressed(SCALE, 4, 2)))
-        .expect("the live runtime serves the da DAG")
+        .expect("the live backend serves the da DAG")
 }
 
 fn sim_da_engine(seed: u64) -> Box<dyn EngineHandle> {
@@ -342,8 +342,8 @@ fn same_client_scenario_matches_across_backends_on_the_da_dag() {
     // "Same client, either backend" for a split/merge pipeline: the
     // identical 30-request program — canaries rejected by the DAG-aware
     // edge admission, the rest split at module 0, joined at module 3 —
-    // classifies identically over the live threaded runtime and the
-    // deterministic simulator.
+    // classifies identically over the wall-paced live backend and the
+    // deterministic stepped simulator.
     let live = client_scenario(live_da_engine(), "da");
     let sim = client_scenario(sim_da_engine(42), "da");
     assert_eq!(

@@ -79,10 +79,13 @@ fn a_stepped_app_has_a_pump_and_a_live_app_a_dispatcher() {
     let _ = sim.shutdown(SimDuration::from_secs(1));
     assert_eq!(pard_threads(), BTreeMap::new(), "shutdown joins them all");
 
-    // The live runtime completes work on its own threads: exactly one
-    // dispatcher blocks on its channel, and nothing pumps it.
+    // The live engine's pacer completes work on a thread of its own:
+    // exactly one dispatcher blocks on its channel, and nothing pumps
+    // it. The pacer is the engine's only thread.
     let live = gateway(engine(Backend::Live(LiveConfig::compressed(20.0, 3, 2))));
-    assert_threads(&SHARED, "pard-dispatch-t"); // "pard-dispatch-tm", cut at 15 bytes
+    let mut with_pacer = SHARED.to_vec();
+    with_pacer.push("pard-pacer-tm");
+    assert_threads(&with_pacer, "pard-dispatch-t"); // "pard-dispatch-tm", cut at 15 bytes
     let _ = live.shutdown(SimDuration::from_secs(1));
     assert_eq!(pard_threads(), BTreeMap::new(), "shutdown joins them all");
 }

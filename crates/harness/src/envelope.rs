@@ -1,8 +1,8 @@
 //! Statistical acceptance envelopes for live-backend scenario runs.
 //!
 //! The simulated backend is compared against golden taxonomies because
-//! its outcomes are a pure function of the scenario; the live threaded
-//! runtime runs on the wall clock, where scheduler jitter makes
+//! its outcomes are a pure function of the scenario; the live backend
+//! stamps arrivals on the wall clock, where scheduling jitter makes
 //! bit-equality impossible. Live coverage therefore asserts *bounds*:
 //! an [`Envelope`] declares the fractions and counts a healthy run must
 //! stay inside, wide enough to absorb timing noise and tight enough to

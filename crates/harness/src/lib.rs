@@ -39,7 +39,7 @@
 //!   actual taxonomy to `target/scenario-snapshots/` so CI can upload
 //!   the diff as an artifact.
 //! * [`run_scenario_live`] + [`Envelope`] — the same scenario on the
-//!   **live threaded runtime**, paced on the compressed wall clock.
+//!   **live backend**, paced on the compressed wall clock.
 //!   Wall-clock runs cannot be golden-equal, so live coverage asserts
 //!   statistical bounds (goodput floor, unanswered cap, canary
 //!   bracket) instead of exact taxonomies.

@@ -5,8 +5,9 @@
 //! **adaptive** floor (online estimator + re-planner + brownout). The
 //! golden suite replays the pair on the simulator and asserts the
 //! headline claim bit-reproducibly; the live envelope suite replays the
-//! same pair on the threaded runtime (the scripted-slowdown backend
-//! mirrors the seeded interference trace) and asserts it statistically;
+//! same pair on the wall-paced live backend (the same seeded
+//! interference trace, arrivals stamped by the wall clock) and asserts
+//! it statistically;
 //! CI's `chaos-smoke` job runs both in release.
 //!
 //! The regime is chosen so the interference actually *hurts* and

@@ -1,6 +1,7 @@
 //! Boots a real gateway and replays a scenario through it — on the
-//! deterministic simulated backend (golden-comparable) or on the live
-//! threaded runtime (envelope-checkable, see [`crate::Envelope`]).
+//! deterministic stepped backend (golden-comparable) or on the
+//! wall-paced live backend (envelope-checkable, see
+//! [`crate::Envelope`]).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -170,16 +171,15 @@ fn engine_builder(scenario: &Scenario) -> EngineBuilder {
     builder
 }
 
-/// Builds the scenario's **simulated** engine — the one configuration
-/// both the wire replay ([`run_scenario`]) and the socketless engine
-/// replay ([`crate::run_scenario_engine`]) boot, so the two paths can
-/// only diverge in transport, never in engine dynamics.
+/// Builds the scenario's engine on `backend`'s clock: profiles,
+/// policy, workers and every cluster dynamic the scenario declares.
 /// `recorder_capacity` overrides the flight-recorder ring size
 /// (`Some(0)` disables recording entirely — the sweep engine's
 /// per-cell setup economy); `None` keeps the default ring.
-pub fn build_sim_engine(
+fn build_engine(
     scenario: &Scenario,
     recorder_capacity: Option<usize>,
+    backend: impl FnOnce(ClusterConfig) -> Backend,
 ) -> Box<dyn EngineHandle> {
     let mut builder = engine_builder(scenario)
         .with_faults(scenario.faults.clone())
@@ -197,8 +197,20 @@ pub fn build_sim_engine(
         .with_seed(scenario.seed)
         .with_pard(PardConfig::default().with_mc_draws(scenario.mc_draws));
     builder
-        .build(Backend::Sim(config))
+        .build(backend(config))
         .unwrap_or_else(|e| panic!("scenario {:?}: engine build failed: {e}", scenario.name))
+}
+
+/// Builds the scenario's **simulated** engine — the one configuration
+/// both the wire replay ([`run_scenario`]) and the socketless engine
+/// replay ([`crate::run_scenario_engine`]) boot, so the two paths can
+/// only diverge in transport, never in engine dynamics.
+/// `recorder_capacity` is as in `build_engine`.
+pub fn build_sim_engine(
+    scenario: &Scenario,
+    recorder_capacity: Option<usize>,
+) -> Box<dyn EngineHandle> {
+    build_engine(scenario, recorder_capacity, Backend::Sim)
 }
 
 /// Runs `scenario` end to end: builds the simulated engine, boots a
@@ -397,60 +409,26 @@ pub fn run_scenario_multi(scenarios: &[Scenario]) -> Vec<ScenarioRun> {
     runs
 }
 
-/// Runs `scenario` against the **live threaded runtime**: the same
-/// trace-driven schedule, but paced on the wall clock (compressed by
-/// `time_scale` virtual seconds per wall second) and sent as ordinary
-/// traffic — no `at_us` stamps, since a live engine's clock cannot be
-/// steered. Outcomes are therefore *not* bit-reproducible; compare the
+/// Runs `scenario` on the **live backend**: the same engine
+/// [`run_scenario`] boots, but on the wall-paced clock (compressed by
+/// `time_scale` virtual seconds per wall second), with the schedule
+/// sent as ordinary traffic — no `at_us` stamps, since a live engine's
+/// clock cannot be steered. Arrival stamps therefore vary with the
+/// wall clock and outcomes are *not* bit-reproducible; compare the
 /// returned taxonomy against a [`crate::Envelope`] instead of a golden
 /// snapshot.
 ///
 /// # Panics
 ///
-/// Panics when the scenario uses simulator-only dynamics (fault
-/// injection or autoscaling) — silently ignoring them would make the
-/// run test a different scenario than the one declared — and on any
-/// infrastructure failure, like [`run_scenario`]. The scenario's
-/// `exec_jitter_sigma` is ignored: real thread scheduling already
-/// provides (unseeded) execution jitter.
+/// On any infrastructure failure, like [`run_scenario`].
 pub fn run_scenario_live(scenario: &Scenario, time_scale: f64) -> ScenarioRun {
-    assert!(
-        scenario.faults.iter().all(|f| f.is_interference()),
-        "scenario {:?}: discrete fault injection (crash / step slowdown) \
-         needs the simulated backend",
-        scenario.name
-    );
-    assert!(
-        !scenario.autoscale,
-        "scenario {:?}: autoscaling needs the simulated backend",
-        scenario.name
-    );
     let (_trace, events) = build_schedule(scenario);
-
-    let modules = scenario.app.modules();
-    let workers = scenario
-        .fixed_workers
-        .clone()
-        .unwrap_or_else(|| vec![2; modules]);
-    let engine = engine_builder(scenario)
-        .with_workers(workers)
-        // Continuous-interference faults have a live mirror: the
-        // scripted-slowdown backend replays the same seeded trace the
-        // simulator folds into its event schedule.
-        .with_faults(scenario.faults.clone())
-        .with_fault_seed(scenario.seed)
-        .build(Backend::Live(LiveConfig {
+    let engine = build_engine(scenario, None, |cluster| {
+        Backend::Live(LiveConfig {
             time_scale,
-            pard: PardConfig::default().with_mc_draws(scenario.mc_draws),
-            workers_per_module: vec![1; modules], // overridden above
-            headroom: 2.0,
-        }))
-        .unwrap_or_else(|e| {
-            panic!(
-                "scenario {:?}: live engine build failed: {e}",
-                scenario.name
-            )
-        });
+            cluster,
+        })
+    });
 
     let gateway = Gateway::start(
         engine,

@@ -1,7 +1,7 @@
 //! Live-backend scenario coverage: the same declarative scenarios the
-//! golden suite replays against the simulator, run on the **live
-//! threaded runtime** over a real socket and judged against statistical
-//! envelopes (wall-clock runs cannot be golden-equal).
+//! golden suite replays against the stepped simulator, run on the
+//! **wall-paced live backend** over a real socket and judged against
+//! statistical envelopes (wall-clock runs cannot be golden-equal).
 //!
 //! Bounds are deliberately loose — they must hold on a loaded CI
 //! machine — while still failing hard on structural regressions: a DAG
@@ -77,10 +77,9 @@ fn live_da_dag_scenario_stays_inside_its_envelope() {
 #[test]
 fn live_interference_pair_adaptive_recovers() {
     // The headline robustness pair (golden on the simulator in
-    // `scenarios.rs`) on the live threaded runtime: the scripted
-    // slowdown backend replays the same seeded Markov interference
-    // trace the simulator folds into its schedule. Wall-clock noise
-    // means the exact goodput differs run to run, so the live half
+    // `scenarios.rs`) on the live backend: the same seeded Markov
+    // interference trace, with arrivals stamped by the wall clock.
+    // Stamp jitter means the exact goodput differs run to run, so the live half
     // asserts a loose envelope of the same shape: the storm must hurt
     // the static floor, and the adaptive floor must claw back a
     // meaningful share by shedding at the edge.
@@ -146,26 +145,32 @@ fn live_interference_pair_adaptive_recovers() {
 }
 
 #[test]
-fn live_runner_refuses_sim_only_dynamics() {
-    // Silently ignoring a fault schedule would run a different scenario
-    // than the one declared; the live runner must refuse instead.
+fn live_runner_serves_a_crash_and_autoscaling() {
+    // The live backend runs the simulator's state machine, so faults
+    // and autoscaling serve there too: module 0 loses a worker mid-run
+    // while the scaling engine is on, and every request is still
+    // answered exactly once.
     let scenario = Scenario::new(
         "live_faulty",
         AppKind::Tm,
         TraceSpec::Constant {
-            rate: 10.0,
-            len_s: 2,
+            rate: 40.0,
+            len_s: 4,
         },
     )
+    .with_autoscale(8, pard_sim::SimDuration::from_millis(500))
     .with_faults(vec![pard_engine_api::FaultSpec::WorkerCrash {
         module: 0,
         worker: 0,
-        at: pard_sim::SimTime::from_secs(1),
+        at: pard_sim::SimTime::from_secs(2),
     }]);
-    let result = std::panic::catch_unwind(|| run_scenario_live(&scenario, SCALE));
-    let message = *result
-        .expect_err("must panic")
-        .downcast::<String>()
-        .expect("panic message");
-    assert!(message.contains("fault injection"), "{message}");
+    let run = run_scenario_live(&scenario, SCALE);
+    let total = run.taxonomy.total();
+    assert!(total.sent > 100, "{total:?}");
+    assert_eq!(total.unanswered, 0, "{total:?}");
+    assert_eq!(run.outcomes.len() as u64, total.sent, "{total:?}");
+    Envelope::new()
+        .with_min_goodput_fraction(0.5)
+        .with_max_unanswered(0)
+        .assert(&run.taxonomy);
 }

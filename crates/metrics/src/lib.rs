@@ -11,7 +11,7 @@
 //!   total GPU time.
 //!
 //! This crate owns the request lifecycle record ([`RequestRecord`]) that
-//! the cluster simulator and the live runtime both emit, the aggregations
+//! the cluster simulator emits, the aggregations
 //! over a whole run ([`RequestLog`]), windowed time-series analysis
 //! ([`series`]), basic statistics ([`stats`]), empirical distributions
 //! ([`dist`]), plain-text table rendering for the benchmark harness

@@ -72,8 +72,8 @@ impl FloorCause {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsEvent {
     /// When the event happened, microseconds on the engine clock
-    /// (virtual time in the simulator, wall offset in the live runtime
-    /// — the same clock the admission decision used).
+    /// (virtual time, which the live backend paces to the scaled wall
+    /// clock — the same clock the admission decision used).
     pub t_us: u64,
     /// The request the event belongs to.
     pub req: u64,

@@ -22,7 +22,7 @@
 //!   gateway's admission snapshots. Subscribers that fall behind skip
 //!   to the latest frame; they can never block the sampler.
 //!
-//! Both ends are engine-agnostic: the live runtime and the simulator
+//! Both ends are engine-agnostic: the live and the stepped backend
 //! emit the same events with the same clocks, so a dump from a golden
 //! scenario and a dump from a production socket read identically.
 

@@ -1,10 +1,10 @@
 //! Offline profiling: measure a backend, fit a [`ModelProfile`].
 //!
 //! PARD "performs an offline profiling to obtain per-model execution
-//! duration and throughput under various batch sizes" (§5.1). For the
-//! simulated backends the analytic profile is already known, but the live
-//! runtime's CPU backend is profiled exactly like a real deployment: run
-//! each batch size a few times, take robust statistics, and fit the
+//! duration and throughput under various batch sizes" (§5.1). The zoo's
+//! analytic profiles are already known; anything else that can time a
+//! batch is profiled the way a real deployment would be: run each batch
+//! size a few times, take robust statistics, and fit the
 //! `base + slope · B^gamma` model with a grid search over `gamma` and a
 //! closed-form least-squares solution for `base`/`slope`.
 
@@ -178,6 +178,47 @@ mod tests {
             let rel = (fitted.latency_ms(b) - true_ms).abs() / true_ms;
             assert!(rel < 0.02, "batch {b}: rel err {rel}");
         }
+    }
+
+    /// A backend whose timings follow an exact per-item law plus a
+    /// small deterministic wobble — what a CPU mat-mul measurement
+    /// looks like on an unloaded machine, with the machine taken out of
+    /// the test.
+    struct ScriptedBackend {
+        base_ms: f64,
+        per_item_ms: f64,
+        calls: u32,
+    }
+
+    impl Profileable for ScriptedBackend {
+        fn run_batch(&mut self, batch: usize) -> f64 {
+            // ±2% deterministic jitter so the fit sees "noisy"
+            // repetitions, reproducibly.
+            self.calls += 1;
+            let wobble = 1.0 + 0.02 * f64::from(self.calls % 3) - 0.02;
+            (self.base_ms + self.per_item_ms * batch as f64) * wobble
+        }
+    }
+
+    #[test]
+    fn fit_recovers_linear_work_from_injected_timings() {
+        // Collect → robust stats → gamma grid search → closed-form
+        // base/slope, driven by deterministic timings: per-item-linear
+        // work must fit with gamma near 1 and predict the largest batch
+        // closely.
+        let mut backend = ScriptedBackend {
+            base_ms: 0.4,
+            per_item_ms: 2.5,
+            calls: 0,
+        };
+        let measured = MeasuredProfile::collect(&mut backend, &[1, 2, 4, 8], 3);
+        let fitted = measured.fit("scripted-linear", 8);
+        assert!(fitted.gamma > 0.9, "gamma {}", fitted.gamma);
+        let last = measured.points.last().unwrap();
+        let rel = (fitted.latency_ms(last.batch) - last.mean_ms).abs() / last.mean_ms;
+        assert!(rel < 0.05, "batch {}: rel {rel}", last.batch);
+        // And the measured points really were wobbled, not constant.
+        assert!(measured.points.iter().any(|p| p.std_ms > 0.0));
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! is consumed.
 //!
 //! Precomputation is the whole trick: the discrete-event simulator
-//! applies the trace to its virtual clock, the live runtime's
-//! scripted-slowdown backend applies *the same vector* to the scaled
-//! wall clock, and the two backends agree on the interference a
-//! scenario injects by construction — there is exactly one generator,
-//! not a sim copy and a live copy that can drift apart.
+//! folds the trace's change points into its event schedule, so the
+//! interference a scenario injects is fixed by the configuration
+//! whichever clock — stepped or wall-paced — drives the simulator.
 //!
 //! Two processes are provided:
 //!

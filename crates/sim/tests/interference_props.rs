@@ -1,13 +1,9 @@
 //! Property tests for the seeded interference processes — the
 //! contract the robustness harness leans on: factors stay inside their
-//! declared bounds, the mean-reverting walk actually reverts, traces
-//! are a pure function of `(seed, stream)`, and the simulator and the
-//! live scripted-slowdown backend materialise the *same* schedule from
-//! a [`FaultSpec`].
+//! declared bounds, the mean-reverting walk actually reverts, and
+//! traces are a pure function of `(seed, stream)`.
 
-use pard_engine_api::FaultSpec;
-use pard_runtime::{InferenceBackend, ScriptedSlowdownBackend, SleepBackend, WallClock};
-use pard_sim::{markov_trace, walk_trace, DetRng, MarkovParams, SimDuration, SimTime, WalkParams};
+use pard_sim::{markov_trace, walk_trace, DetRng, MarkovParams, WalkParams};
 use proptest::prelude::*;
 
 proptest! {
@@ -74,49 +70,5 @@ proptest! {
         }
         let c = markov_trace(&mut DetRng::new(seed + 1), &params, 0, 60_000_000, 100_000);
         prop_assert!(a != c, "different seeds must diverge");
-    }
-
-    /// Sim/live agreement: the trace a [`FaultSpec`] materialises is
-    /// deterministic in `(seed, fault index)`, and a live
-    /// [`ScriptedSlowdownBackend`] wrapping it reports exactly the
-    /// trace's factor at every change point — the simulator folds the
-    /// very same vector into its event schedule, so the two backends
-    /// inject identical interference by construction.
-    #[test]
-    fn fault_spec_trace_agrees_between_backends(
-        seed in 0u64..1_000,
-        index in 0u64..4,
-        contended_x in 1..30,
-        p_enter in 0.05f64..0.95,
-        p_exit in 0.05f64..0.95,
-    ) {
-        let fault = FaultSpec::InterferenceMarkov {
-            module: 0,
-            worker: 0,
-            markov: MarkovParams {
-                calm: 1.0,
-                contended: 1.0 + contended_x as f64 * 0.1,
-                p_enter,
-                p_exit,
-            },
-            period: SimDuration::from_millis(250),
-            from: SimTime::from_secs(2),
-            until: SimTime::from_secs(12),
-        };
-        let sim_side = fault.slowdown_trace(seed, index).expect("interference has a trace");
-        let live_side = fault.slowdown_trace(seed, index).expect("interference has a trace");
-        prop_assert_eq!(&sim_side, &live_side);
-
-        let inner: Box<dyn InferenceBackend> = Box::new(SleepBackend::new(
-            pard_profile::zoo::by_name("text-recognition").expect("zoo model"),
-            1e9,
-        ));
-        let backend = ScriptedSlowdownBackend::new(inner, vec![live_side], WallClock::new(1e9));
-        for t in sim_side.change_points() {
-            prop_assert_eq!(backend.factor_at(t), sim_side.factor_at(t));
-            // Mid-step the factor must hold steady (piecewise-constant).
-            prop_assert_eq!(backend.factor_at(t + 1), sim_side.factor_at(t + 1));
-        }
-        prop_assert_eq!(backend.factor_at(0), 1.0);
     }
 }

@@ -1,8 +1,9 @@
 //! The gateway + load-generator pair, in one process: a real TCP
 //! gateway on an ephemeral loopback port, PARD admission at the edge,
 //! and an open-loop trace replay against it — all through the unified
-//! engine API, so switching between the live threaded runtime and the
-//! deterministic simulator is the one-line `Backend` choice below.
+//! engine API, so switching between the wall-paced live backend and the
+//! deterministic stepped simulator is the one-line `Backend` choice
+//! below.
 //!
 //! ```sh
 //! cargo run --release --example gateway_quickstart                 # live backend

@@ -1,6 +1,7 @@
-//! Live serving on real threads: the same PARD policy objects the
-//! simulator validates, running against a sleep-based inference backend
-//! at 20× time compression (~6 s wall time).
+//! Live serving: the simulated cluster on a wall clock compressed 20×,
+//! fed a Poisson stream as its clock reaches each arrival (~6 s wall
+//! time) — the same PARD policy objects, answering requests as a live
+//! deployment would.
 //!
 //! ```sh
 //! cargo run --release --example live_serving
@@ -23,49 +24,65 @@ fn main() {
     ];
 
     println!("starting 3-module live cluster (2 workers each, {SCALE}x compressed)...");
-    // The unified engine API builds the cluster; `cluster()` exposes
-    // the runtime-specific open-loop driver.
     let engine = EngineBuilder::new(spec)
         .with_profiles(profiles)
         .build_live(LiveConfig::compressed(SCALE, 3, 2))
         .expect("valid chain pipeline");
-    let cluster = engine.cluster();
+    let (tx, rx) = std::sync::mpsc::channel();
+    engine.set_completion_sink(tx);
 
     // 2 minutes of virtual time: one minute calm, one minute overloaded.
-    println!("phase 1: 60 virtual seconds at 150 req/s (within capacity)...");
-    cluster.run_open_loop(150.0, SimDuration::from_secs(60), 1);
-    println!("phase 2: 60 virtual seconds at 700 req/s (overload: drops expected)...");
-    cluster.run_open_loop(700.0, SimDuration::from_secs(60), 2);
+    let mut rng = DetRng::new(1);
+    let mut next = SimTime::ZERO;
+    for (rate, until, label) in [
+        (
+            150.0,
+            60,
+            "60 virtual seconds at 150 req/s (within capacity)",
+        ),
+        (
+            700.0,
+            120,
+            "60 virtual seconds at 700 req/s (overload: drops expected)",
+        ),
+    ] {
+        println!("{label}...");
+        loop {
+            next += SimDuration::from_secs_f64(rng.exp(1.0 / rate));
+            if next >= SimTime::from_secs(until) {
+                break;
+            }
+            while engine.now() < next {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            engine.submit(SubmitSpec::default());
+        }
+    }
+    let totals = engine.drain(SimDuration::from_secs(10));
 
-    // The runtime's own drain hands back the full request log (the
-    // engine API's `drain` only returns totals).
-    let log = cluster.drain(SimDuration::from_secs(10));
-    let calm: Vec<_> = log
-        .records()
-        .iter()
-        .filter(|r| r.sent < SimTime::from_secs(60))
-        .collect();
-    let hot: Vec<_> = log
-        .records()
-        .iter()
-        .filter(|r| r.sent >= SimTime::from_secs(60))
-        .collect();
-    let frac = |rs: &[&pard::metrics::RequestRecord]| {
-        let good = rs.iter().filter(|r| r.is_goodput()).count();
-        100.0 * good as f64 / rs.len().max(1) as f64
-    };
+    // Every request was answered on the sink, with its submit time.
+    let mut phases = [(0u64, 0u64); 2];
+    for completion in rx.try_iter() {
+        let phase = &mut phases[usize::from(completion.sent >= SimTime::from_secs(60))];
+        phase.0 += 1;
+        phase.1 += u64::from(completion.within_slo());
+    }
+    let frac = |(all, good): (u64, u64)| 100.0 * good as f64 / all.max(1) as f64;
     println!();
     println!(
         "phase 1 (calm):     {} requests, {:.1}% goodput",
-        calm.len(),
-        frac(&calm)
+        phases[0].0,
+        frac(phases[0])
     );
     println!(
         "phase 2 (overload): {} requests, {:.1}% goodput",
-        hot.len(),
-        frac(&hot)
+        phases[1].0,
+        frac(phases[1])
     );
-    println!("total drop rate:    {:.1}%", 100.0 * log.drop_rate());
+    println!(
+        "total drop rate:    {:.1}%",
+        100.0 * totals.dropped as f64 / totals.requests.max(1) as f64
+    );
     println!();
     println!("same WorkerPolicy trait objects as the simulator — no porting step.");
 }

@@ -24,8 +24,7 @@
 //! | [`core`] | **the contribution**: DEPQ, State Planner, Request Broker, adaptive priority |
 //! | [`policies`] | Nexus, Clipper++, Naive, overload control, ablations |
 //! | [`cluster`] | discrete-event cluster serving engine |
-//! | [`runtime`] | live multi-threaded serving engine |
-//! | [`engine_api`] | unified `EngineHandle` front door over simulator + live runtime |
+//! | [`engine_api`] | unified `EngineHandle` front door: the cluster on a stepped or a wall-paced clock |
 //! | [`gateway`] | TCP serving front-end with edge admission, typed client + load generator |
 //! | [`harness`] | scenario harness: golden (sim) + envelope (live) e2e suites over real sockets |
 //! | [`sweep`] | parallel scenario-sweep engine + goodput/latency/cost Pareto explorer |
@@ -71,7 +70,6 @@ pub use pard_pipeline as pipeline;
 pub use pard_policies as policies;
 pub use pard_profile as profile;
 pub use pard_rag as rag;
-pub use pard_runtime as runtime;
 pub use pard_sim as sim;
 pub use pard_sweep as sweep;
 pub use pard_workload as workload;
@@ -85,7 +83,7 @@ pub mod prelude {
         Depq, OrderMode, PardConfig, PardPolicy, PardPolicyConfig, PriorityMode, ReqMeta, RuleMode,
         SubMode, WorkerPolicy,
     };
-    pub use pard_engine_api::{Backend, EngineBuilder, EngineHandle, SubmitSpec};
+    pub use pard_engine_api::{Backend, EngineBuilder, EngineHandle, LiveConfig, SubmitSpec};
     pub use pard_gateway::{CallSpec, Client, Gateway, GatewayConfig, LoadMode, LoadgenConfig};
     pub use pard_metrics::{DropReason, Outcome, RequestLog, Table};
     pub use pard_obs::{EngineFrame, FlightRecorder, ObsEvent, ObsKind};
@@ -93,7 +91,6 @@ pub mod prelude {
     pub use pard_policies::{make_factory, OcConfig, SystemKind};
     pub use pard_profile::{plan_batches, ModelProfile};
     pub use pard_rag::{run_rag, RagConfig, RagPolicy, RagWorkload};
-    pub use pard_runtime::{LiveCluster, LiveConfig, SleepBackend};
     pub use pard_sim::{DetRng, SimDuration, SimTime};
     pub use pard_sweep::{pareto_front_of, run_sweep, CellRecord, SweepSpec};
     pub use pard_workload::{RateTrace, TraceKind};

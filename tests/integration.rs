@@ -124,19 +124,30 @@ fn des_and_live_runtime_agree_on_light_load() {
     let des_frac = des.log.goodput_count() as f64 / des.log.len() as f64;
 
     // Live side (40x compressed, ~0.25 s wall), through the unified
-    // engine API.
+    // engine API: a Poisson stream, each request submitted as the
+    // engine's clock reaches its arrival.
     let live = EngineBuilder::new(spec)
         .with_profiles(profiles)
         .build_live(LiveConfig::compressed(40.0, 2, 1))
         .expect("valid chain pipeline");
-    live.cluster()
-        .run_open_loop(40.0, SimDuration::from_secs(10), 7);
-    let live_log = live.cluster().drain(SimDuration::from_secs(5));
-    let live_frac = live_log.goodput_count() as f64 / live_log.len().max(1) as f64;
+    let mut rng = DetRng::new(7);
+    let mut next = SimTime::ZERO;
+    loop {
+        next += SimDuration::from_secs_f64(rng.exp(1.0 / 40.0));
+        if next >= SimTime::from_secs(10) {
+            break;
+        }
+        while live.now() < next {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        live.submit(SubmitSpec::default());
+    }
+    let totals = live.drain(SimDuration::from_secs(5));
+    let live_frac = totals.goodput as f64 / totals.requests.max(1) as f64;
 
     assert!(des_frac > 0.99, "DES goodput {des_frac}");
-    // The live engine shares wall-clock with concurrently running tests,
-    // so its bound is deliberately loose.
+    // Arrival stamps follow the wall clock, shared with concurrently
+    // running tests, so the live bound is deliberately loose.
     assert!(live_frac > 0.75, "live goodput {live_frac}");
 }
 
